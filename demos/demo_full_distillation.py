@@ -10,7 +10,6 @@ cross-normalized feature-matching loss.
 """
 
 from restorect import distill_harness as dh
-from restorect import ndtensor as nd
 
 
 def main():
@@ -30,12 +29,9 @@ def main():
           f"{summary['gate_fraction'] * 100:.1f}% of iterations (expected ~40%)")
 
     print("\nsampler comparison (Gaussian Frechet distance to teacher features):")
-    rng = nd.Rng(config.seed)
-    data = dh.synth_dataset(rng.derive("dataset"),
-                            config.dataset_size + config.holdout_size,
-                            config.image_size)[:config.dataset_size]
-    ddim_net = dh.train_ddim_baseline(config, summary["teacher"], data)
-    rows = dh.compare_samplers(config, summary["nets"]["img"], ddim_net, summary["teacher"])
+    exp = summary["experiment"]
+    ddim_net = dh.train_ddim_baseline(exp)
+    rows = dh.compare_samplers(exp, summary["nets"]["img"], ddim_net)
     print(f"  {'sampler':8s} {'steps':>5s} {'frechet':>12s} {'mse':>10s}")
     for r in rows:
         print(f"  {r.sampler:8s} {r.steps:5d} {r.frechet:12.4f} {r.mse:10.6f}")

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from . import checks
 from . import distill_harness as dh
 from . import hvi_color as hvi
 from . import ndtensor as nd
-from . import nn_blocks as nn
 
 TRAIN_COMMANDS = ("train-phase1", "train-phase2", "distill")
 
@@ -76,18 +76,6 @@ def _require_config(args, parser) -> None:
         parser.exit(2, f"restorect {args.command}: error: --config is required\n")
 
 
-def _load_phase1_nets(config, outdir):
-    nets = {}
-    for key in ("rex", "img"):
-        path = os.path.join(outdir, f"ckpt_vel_{key}")
-        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, t_max=config.t_max,
-                                   prefix=f"vel_{key}")
-        nn.restore_params(net.params(), nn.load_checkpoint(path))
-        net.trained = True
-        nets[key] = net
-    return nets
-
-
 def cmd_check(args, names=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     ext = "json" if args.format == "json" else "csv"
@@ -103,16 +91,8 @@ def cmd_check(args, names=None) -> int:
 
 def cmd_train_phase1(args) -> int:
     config = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    rng = nd.Rng(config.seed)
-    pairs = dh.synth_dataset(rng.derive("dataset"),
-                             config.dataset_size + config.holdout_size, config.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
-    nets, records = dh.train_phase1(config, teacher, pairs[:config.dataset_size])
-    dh.write_metrics_csv(os.path.join(args.out, "phase1_metrics.csv"),
-                         records, dh.PHASE1_COMPONENTS)
-    nn.save_checkpoint(os.path.join(args.out, "ckpt_vel_rex"), nets["rex"].params())
-    nn.save_checkpoint(os.path.join(args.out, "ckpt_vel_img"), nets["img"].params())
+    nets, records = dh.train_phase1(dh.Experiment(config))
+    dh.save_phase1(args.out, nets, records)
     first, last = records[0], records[-1]
     print(f"phase1: {config.phase1_iters} iters, velocity loss "
           f"{first.components['vel_rex'] + first.components['vel_img']:.3f} -> "
@@ -122,22 +102,14 @@ def cmd_train_phase1(args) -> int:
 
 def cmd_train_phase2(args) -> int:
     config = resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    rng = nd.Rng(config.seed)
-    pairs = dh.synth_dataset(rng.derive("dataset"),
-                             config.dataset_size + config.holdout_size, config.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
+    exp = dh.Experiment(config)
     try:
-        nets = _load_phase1_nets(config, args.out)
+        nets = dh.load_phase1(config, args.out)
     except FileNotFoundError as exc:
         print(f"phase2: missing phase-1 checkpoints under {args.out} ({exc})", file=sys.stderr)
         return 1
-    student, records, summary = dh.train_phase2(
-        config, nets, teacher, pairs[:config.dataset_size],
-        holdout=pairs[config.dataset_size:])
-    dh.write_metrics_csv(os.path.join(args.out, "phase2_metrics.csv"),
-                         records, dh.PHASE2_COMPONENTS)
-    nn.save_checkpoint(os.path.join(args.out, "ckpt_student"), student.params())
+    student, records, summary = dh.train_phase2(exp, nets)
+    dh.save_phase2(args.out, student, records)
     print(f"phase2: {config.phase2_iters} iters, holdout L1 "
           f"{summary['initial_holdout_l1']:.4f} -> {summary['final_holdout_l1']:.4f}, "
           f"gate fraction {summary['gate_fraction']:.3f}")
@@ -158,30 +130,22 @@ def cmd_distill(args) -> int:
 def cmd_compare_samplers(args) -> int:
     config = resolve_config(args)
     if args.steps:
-        try:
-            config.sampler_steps = [int(s) for s in args.steps.split(",") if s]
-        except ValueError:
-            print(f"compare-samplers: bad --steps value '{args.steps}'", file=sys.stderr)
+        try:  # replace() re-runs the config's own step-range check
+            config = replace(config, sampler_steps=[int(s) for s in args.steps.split(",") if s])
+        except ValueError as exc:
+            print(f"compare-samplers: bad --steps value '{args.steps}' ({exc})", file=sys.stderr)
             return 2
-        for s in config.sampler_steps:
-            if not (1 <= s <= 5):
-                print(f"compare-samplers: step {s} outside [1,5]", file=sys.stderr)
-                return 2
     os.makedirs(args.out, exist_ok=True)
-    rng = nd.Rng(config.seed)
-    pairs = dh.synth_dataset(rng.derive("dataset"),
-                             config.dataset_size + config.holdout_size, config.image_size)
-    data = pairs[:config.dataset_size]
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
+    exp = dh.Experiment(config)
     try:
-        nets = _load_phase1_nets(config, args.out)
+        nets = dh.load_phase1(config, args.out)
         print(f"compare-samplers: loaded phase-1 checkpoints from {args.out}")
     except FileNotFoundError:
         print("compare-samplers: no checkpoints found, training the flow predictors")
-        nets, _ = dh.train_phase1(config, teacher, data)
-    ddim_net = dh.train_ddim_baseline(config, teacher, data)
+        nets, _ = dh.train_phase1(exp)
+    ddim_net = dh.train_ddim_baseline(exp)
     rows = dh.compare_samplers(
-        config, nets["img"], ddim_net, teacher,
+        exp, nets["img"], ddim_net,
         out_csv=os.path.join(args.out, "samplers.csv"),
         timing_csv=os.path.join(args.out, "samplers_timing.csv"))
     for r in rows:

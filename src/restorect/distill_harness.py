@@ -1,7 +1,8 @@
 """End-to-end desk-scale distillation pipeline: synthetic paired data, a
 frozen synthetic teacher encoder, phase-1 velocity training, phase-2 student
 training with the feature-matching loss, a DDIM baseline, and the sampler
-comparison table.
+comparison table. `Experiment` is the one set-up path: built once from the
+config, it holds the data, the teacher and their features for every stage.
 
 Everything is driven by named RNG streams derived from the config seed, so a
 given (config, seed) reproduces its metrics CSVs byte for byte. Wall-clock
@@ -11,8 +12,10 @@ separate timing files and stdout summaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -65,6 +68,8 @@ class ExperimentConfig:
                 raise ValueError(f"config: {name} must be positive")
         if self.feature_dim <= 0 or self.batch_size <= 0:
             raise ValueError("config: feature_dim and batch_size must be positive")
+        if not (1 <= self.t_max <= 5):
+            raise ValueError(f"config: t_max {self.t_max} outside [1,5]")
         if self.image_size % 4 != 0:
             raise ValueError("config: image_size must be divisible by 4")
         if self.channels % (4 * self.head_count) != 0:
@@ -280,6 +285,30 @@ class FeatureSet:
         return FeatureSet(c_rex, c_img, f_rex, f_img)
 
 
+class Experiment:
+    """What every stage of a run shares, built once from its config: the
+    training and holdout pairs (one `dataset` stream, split at dataset_size),
+    the frozen teacher and their teacher features."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        rng = nd.Rng(config.seed)
+        pairs = synth_dataset(rng.derive("dataset"), config.dataset_size + config.holdout_size,
+                              config.image_size)
+        self.data = pairs[:config.dataset_size]
+        self.holdout = pairs[config.dataset_size:]
+        self.teacher = SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
+
+    # Lazy, so encoding runs in the stage that first needs it, not in set-up (~26 ms at defaults).
+    @functools.cached_property
+    def feats(self) -> FeatureSet:
+        return FeatureSet.build(self.teacher, self.data)
+
+    @functools.cached_property
+    def hold_feats(self):
+        return FeatureSet.build(self.teacher, self.holdout) if self.holdout else None
+
+
 # -- student network ---------------------------------------------------------------
 
 class StudentNet:
@@ -288,11 +317,12 @@ class StudentNet:
     residual onto the degraded input."""
 
     def __init__(self, rng: nd.Rng, channels: int = 16, head_count: int = 2,
-                 prefix: str = "student"):
+                 prefix: str = "student", cond_dim: int = 256):
         self.channels = channels
         self.stem_w = Param(rng.normal((channels, 3, 3, 3)) * math.sqrt(2.0 / 27), f"{prefix}.stem.w")
         self.stem_b = Param(np.zeros(channels), f"{prefix}.stem.b")
-        self.block = nn.ToyTransformerBlock(channels, head_count, rng, prefix=f"{prefix}.block")
+        self.block = nn.ToyTransformerBlock(channels, head_count, rng, prefix=f"{prefix}.block",
+                                            cond_dim=cond_dim)
         self.head_w = Param(rng.normal((3, channels, 3, 3)) * 0.05, f"{prefix}.head.w")
         self.head_b = Param(np.zeros(3), f"{prefix}.head.b")
 
@@ -316,8 +346,7 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: in
     """Frechet distance between Euler-sampled and teacher image features on a
     fixed probe set (fixed z), using the full t_max-step sampler."""
     n = probe_z.shape[0]
-    cfg = rf.SamplerConfig(steps=min(t_max, 5), kind=rf.RECTIFIED_FLOW)
-    x, _ = rf.euler_sample(nets["img"], ad.constant(probe_z), ad.constant(feats.c_img[:n]), cfg)
+    x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], rf.SamplerConfig(t_max))
     sampled = x.data
     ref = feats.f_img[:n]
     mu1, cov1 = sampled.mean(axis=0), np.cov(sampled, rowvar=False)
@@ -326,17 +355,15 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: in
 
 
 def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> float:
-    cfg = rf.SamplerConfig(steps=min(t_max, 5), kind=rf.RECTIFIED_FLOW)
     total = 0.0
     for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
                          ("img", z_img, feats.c_img, feats.f_img)):
-        x, _ = rf.euler_sample(nets[key], ad.constant(z), ad.constant(c[idx]), cfg)
+        x, _ = rf.euler_sample(nets[key], z, c[idx], rf.SamplerConfig(t_max))
         total += float(((x.data - f[idx]) ** 2).mean())
     return total / 2.0
 
 
-def train_phase1(config: ExperimentConfig, teacher: SyntheticTeacher, data: list,
-                 record_sink: list = None):
+def train_phase1(exp: Experiment, record_sink: list = None):
     """Train the two velocity predictors against frozen teacher features.
 
     Per iteration the loss is
@@ -346,15 +373,13 @@ def train_phase1(config: ExperimentConfig, teacher: SyntheticTeacher, data: list
     with one Adam optimizer per predictor. Aborts via TrainingDiverged on a
     non-finite loss after appending a diagnostic record.
     """
+    config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
-    feats = FeatureSet.build(teacher, data)
-    n = len(data)
-    nets = {
-        "rex": nn.VelocityPredictor(rng.derive("vel-rex-init"), config.feature_dim,
-                                    t_max=config.t_max, prefix="vel_rex"),
-        "img": nn.VelocityPredictor(rng.derive("vel-img-init"), config.feature_dim,
-                                    t_max=config.t_max, prefix="vel_img"),
-    }
+    n = len(exp.data)
+    nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"), config.feature_dim,
+                                      cond_dim=config.feature_dim, t_max=config.t_max,
+                                      prefix=f"vel_{key}")
+            for key in ("rex", "img")}
     opts = {
         "rex": Adam(nets["rex"].params(), config.lr_rex),
         "img": Adam(nets["img"].params(), config.lr_img),
@@ -362,7 +387,6 @@ def train_phase1(config: ExperimentConfig, teacher: SyntheticTeacher, data: list
     loop = rng.derive("phase1-loop")
     probe_z = rng.derive("phase1-probe").normal((min(128, n), config.feature_dim))
     records = record_sink if record_sink is not None else []
-    cfg_traj = rf.SamplerConfig(steps=min(config.t_max, 5), kind=rf.RECTIFIED_FLOW)
     start = time.perf_counter()
 
     for it in range(config.phase1_iters):
@@ -378,7 +402,7 @@ def train_phase1(config: ExperimentConfig, teacher: SyntheticTeacher, data: list
             fc = ad.constant(f_all[idx])
             cc = ad.constant(c_all[idx])
             l_vel = rf.velocity_matching_loss(nets[key], (zc, fc, cc), loop)
-            x_fin, traj = rf.euler_sample(nets[key], zc, cc, cfg_traj)
+            x_fin, traj = rf.euler_sample(nets[key], zc, cc, rf.SamplerConfig(config.t_max))
             d = x_fin - fc
             l_kd = ad.mean(d * d)
             l_traj = rf.trajectory_consistency_loss(traj, fc)
@@ -428,21 +452,11 @@ def _sample_state_at(net, z: np.ndarray, c: np.ndarray, t_idx: int, t_max: int) 
     detached from the graph."""
     if t_idx == 0:
         return z
-    cfg = rf.SamplerConfig(steps=min(t_max, 5), kind=rf.RECTIFIED_FLOW)
-    _, traj = rf.euler_sample(net, ad.constant(z), ad.constant(c), cfg)
+    _, traj = rf.euler_sample(net, z, c, rf.SamplerConfig(t_max))
     return traj[t_idx - 1].data
 
 
-def _holdout_l1(student: StudentNet, vel_rex, holdout_pairs, hold_feats: FeatureSet,
-                hold_z: np.ndarray, t_max: int) -> float:
-    lq, gt = stack_batch(holdout_pairs)
-    ipr = _sample_state_at(vel_rex, hold_z, hold_feats.c_rex, t_max, t_max)
-    pred = student.forward(ad.constant(lq), ad.constant(ipr))
-    return float(np.abs(pred.data - gt).mean())
-
-
-def train_phase2(config: ExperimentConfig, vel_nets: dict, teacher: SyntheticTeacher,
-                 data: list, holdout: list = None, student: StudentNet = None,
+def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
                  record_sink: list = None):
     """Train the student against frozen velocity predictors.
 
@@ -456,27 +470,29 @@ def train_phase2(config: ExperimentConfig, vel_nets: dict, teacher: SyntheticTea
     for key in ("rex", "img"):
         if key not in vel_nets or not getattr(vel_nets[key], "trained", False):
             raise ValueError("train_phase2: velocity predictors must be trained (phase 1) first")
+    config, data, holdout, feats = exp.config, exp.data, exp.holdout, exp.feats
     rng = nd.Rng(config.seed)
-    feats = FeatureSet.build(teacher, data)
     n = len(data)
     if student is None:
-        student = StudentNet(rng.derive("student-init"), config.channels, config.head_count)
+        student = StudentNet(rng.derive("student-init"), config.channels, config.head_count,
+                             cond_dim=config.feature_dim)
     teacher_side = StudentNet(rng.derive("student-init"), config.channels, config.head_count,
-                              prefix="teacher_side")
+                              prefix="teacher_side", cond_dim=config.feature_dim)
     opt = Adam(student.params(), config.lr_phase2)
     loop = rng.derive("phase2-loop")
     flex_cfg = fx.FlexConfig(t_max=config.t_max)
     records = record_sink if record_sink is not None else []
     gate_hits = 0
 
-    holdout = holdout or []
-    hold_feats = FeatureSet.build(teacher, holdout) if holdout else None
     hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim)) if holdout else None
 
     def holdout_metric():
         if not holdout:
             return float("nan")
-        return _holdout_l1(student, vel_nets["rex"], holdout, hold_feats, hold_z, config.t_max)
+        lq, gt = stack_batch(holdout)
+        ipr = _sample_state_at(vel_nets["rex"], hold_z, exp.hold_feats.c_rex,
+                               config.t_max, config.t_max)
+        return float(np.abs(student.forward(lq, ipr).data - gt).mean())
 
     initial_holdout = holdout_metric()
     start = time.perf_counter()
@@ -550,20 +566,20 @@ def phase2_loss_total(components: dict, config: ExperimentConfig) -> float:
 
 # -- DDIM baseline training ------------------------------------------------------------
 
-def train_ddim_baseline(config: ExperimentConfig, teacher: SyntheticTeacher, data: list):
+def train_ddim_baseline(exp: Experiment):
     """Epsilon-prediction net on the squared-cosine schedule over the image
     feature stream; same architecture as a phase-1 predictor, with a larger
     iteration budget to offset the extra gradient signal the velocity nets
     receive from the distillation and trajectory terms. Betas are clipped at
     ddim_max_beta so the terminal signal level stays non-degenerate at T=50
     (the x0 reconstruction divides by sqrt(alpha_bar))."""
+    config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
-    feats = FeatureSet.build(teacher, data)
-    n = len(data)
+    n = len(exp.data)
     T = config.ddim_train_steps
     alpha_bars = rf.cosine_alpha_bars(T, max_beta=config.ddim_max_beta)
     net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim,
-                               t_max=T - 1, prefix="ddim")
+                               cond_dim=config.feature_dim, t_max=T - 1, prefix="ddim")
     opt = Adam(net.params(), config.lr_img)
     loop = rng.derive("ddim-loop")
 
@@ -599,8 +615,7 @@ class SamplerRow:
     wall_ms: float
 
 
-def compare_samplers(config: ExperimentConfig, rf_net, ddim_net,
-                     teacher: SyntheticTeacher, out_csv=None, timing_csv=None) -> list:
+def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv=None) -> list:
     """Sample `compare_count` image features per (sampler, step count) and
     score them against fresh teacher features: Gaussian Frechet distance of
     the sample cloud plus per-item MSE.
@@ -610,30 +625,27 @@ def compare_samplers(config: ExperimentConfig, rf_net, ddim_net,
     """
     if not getattr(rf_net, "trained", False) or not getattr(ddim_net, "trained", False):
         raise ValueError("compare_samplers: both samplers must be trained")
+    config = exp.config
     rng = nd.Rng(config.seed).derive("compare")
     pairs = synth_dataset(rng.derive("eval-data"), config.compare_count, config.image_size)
-    lq, gt = stack_batch(pairs)
-    f_rex, f_img = teacher.encode_pair(lq, gt)
-    c_rex, c_img = teacher.conditioning(lq)
+    evals = FeatureSet.build(exp.teacher, pairs)
     z = rng.derive("eval-z").normal((config.compare_count, config.feature_dim))
-    mu_ref, cov_ref = f_img.mean(axis=0), np.cov(f_img, rowvar=False)
+    mu_ref, cov_ref = evals.f_img.mean(axis=0), np.cov(evals.f_img, rowvar=False)
 
     rows = []
     for steps in config.sampler_steps:
         for name in ("rf", "ddim"):
             t0 = time.perf_counter()
             if name == "rf":
-                cfg = rf.SamplerConfig(steps=steps, kind=rf.RECTIFIED_FLOW)
-                x, _ = rf.euler_sample(rf_net, ad.constant(z), ad.constant(c_img), cfg)
+                x, _ = rf.euler_sample(rf_net, z, evals.c_img, rf.SamplerConfig(steps))
             else:
                 cfg = rf.SamplerConfig(steps=steps, kind=rf.DDIM_BASELINE)
-                x = rf.ddim_baseline_sample(ddim_net, ad.constant(z), ad.constant(c_img),
-                                            cfg, ddim_net.alpha_bars)
+                x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, cfg, ddim_net.alpha_bars)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             sampled = x.data
             fd = nd.gaussian_frechet_distance(sampled.mean(axis=0),
                                               np.cov(sampled, rowvar=False), mu_ref, cov_ref)
-            mse = float(((sampled - f_img) ** 2).mean())
+            mse = float(((sampled - evals.f_img) ** 2).mean())
             rows.append(SamplerRow(name, steps, fd, mse, wall_ms))
 
     if out_csv:
@@ -650,30 +662,48 @@ def compare_samplers(config: ExperimentConfig, rf_net, ddim_net,
     return rows
 
 
+# -- outputs of each phase ------------------------------------------------------------------
+
+def save_phase1(outdir, nets: dict, records: list) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), records, PHASE1_COMPONENTS)
+    for key in ("rex", "img"):
+        nn.save_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}"), nets[key].params())
+
+
+def load_phase1(config: ExperimentConfig, outdir) -> dict:
+    """The velocity predictors `save_phase1` wrote under outdir, marked trained."""
+    nets = {}
+    for key in ("rex", "img"):
+        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, cond_dim=config.feature_dim,
+                                   t_max=config.t_max, prefix=f"vel_{key}")
+        nn.restore_params(net.params(), nn.load_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}")))
+        net.trained = True
+        nets[key] = net
+    return nets
+
+
+def save_phase2(outdir, student: StudentNet, records: list) -> None:
+    os.makedirs(outdir, exist_ok=True)
+    write_metrics_csv(os.path.join(outdir, "phase2_metrics.csv"), records, PHASE2_COMPONENTS)
+    nn.save_checkpoint(os.path.join(outdir, "ckpt_student"), student.params())
+
+
 # -- full pipeline -------------------------------------------------------------------------
 
 def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
-    import os
-
-    rng = nd.Rng(config.seed)
-    all_pairs = synth_dataset(rng.derive("dataset"), config.dataset_size + config.holdout_size,
-                              config.image_size)
-    data = all_pairs[:config.dataset_size]
-    holdout = all_pairs[config.dataset_size:]
-    teacher = SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
-
+    exp = Experiment(config)
     student = StudentNet(nd.Rng(config.seed).derive("student-init"),
-                         config.channels, config.head_count)
+                         config.channels, config.head_count, cond_dim=config.feature_dim)
     student_sum_before = params_checksum(student.params())
 
-    nets, p1_records = train_phase1(config, teacher, data)
+    nets, p1_records = train_phase1(exp)
     if params_checksum(student.params()) != student_sum_before:
         raise RuntimeError("phase-1 freeze violated: student params changed")
 
-    student, p2_records, p2_summary = train_phase2(config, nets, teacher, data,
-                                                   holdout=holdout, student=student)
+    student, p2_records, p2_summary = train_phase2(exp, nets, student=student)
 
     summary = {
         "phase1_initial_vel": p1_records[0].components["vel_rex"] + p1_records[0].components["vel_img"],
@@ -681,18 +711,14 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
         **p2_summary,
     }
     if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), p1_records, PHASE1_COMPONENTS)
-        write_metrics_csv(os.path.join(outdir, "phase2_metrics.csv"), p2_records, PHASE2_COMPONENTS)
-        nn.save_checkpoint(os.path.join(outdir, "ckpt_vel_rex"), nets["rex"].params())
-        nn.save_checkpoint(os.path.join(outdir, "ckpt_vel_img"), nets["img"].params())
-        nn.save_checkpoint(os.path.join(outdir, "ckpt_student"), student.params())
+        save_phase1(outdir, nets, p1_records)
+        save_phase2(outdir, student, p2_records)
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     summary["nets"] = nets
     summary["student"] = student
-    summary["teacher"] = teacher
+    summary["experiment"] = exp
     summary["phase1_records"] = p1_records
     summary["phase2_records"] = p2_records
     return summary

@@ -58,27 +58,31 @@ class AttentionParams:
     """Projections and temperature for the split-pathway attention.
 
     The channel axis is split 3C/4 (reflectance) / C/4 (illumination); the
-    256-dim conditioning vector is split 192/64 and modulates each pathway as
-    x * Linear(cond) + x. Queries come from the reflectance pathway, keys and
-    values from the illumination pathway.
+    conditioning vector (cond_dim wide, 256 by default) is split the same way,
+    192/64 at 256, and modulates each pathway as x * Linear(cond) + x. Queries
+    come from the reflectance pathway, keys and values from the illumination
+    pathway.
     """
 
-    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "attn"):
+    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "attn",
+                 cond_dim: int = 256):
         if channels % (4 * head_count) != 0:
             raise ValueError(
                 f"attention: channels={channels} not divisible by 4*head_count={4 * head_count}"
             )
         self.channels = channels
         self.head_count = head_count
+        self.cond_dim = cond_dim
         c_r = 3 * channels // 4
         c_i = channels // 4
+        k_r = 3 * cond_dim // 4
 
         def w(shape, fan_in, tag):
             return Param(rng.normal(shape) / math.sqrt(fan_in), f"{prefix}.{tag}")
 
-        self.w_cond_r = w((192, c_r), 192, "w_cond_r")
+        self.w_cond_r = w((k_r, c_r), k_r, "w_cond_r")
         self.b_cond_r = Param(np.zeros(c_r), f"{prefix}.b_cond_r")
-        self.w_cond_i = w((64, c_i), 64, "w_cond_i")
+        self.w_cond_i = w((cond_dim - k_r, c_i), cond_dim - k_r, "w_cond_i")
         self.b_cond_i = Param(np.zeros(c_i), f"{prefix}.b_cond_i")
         self.wq = w((c_r, channels), c_r, "wq")
         self.wkv = w((c_i, 2 * channels), c_i, "wkv")
@@ -117,15 +121,16 @@ def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
     ipr = ad._lift(ipr)
     if x.ndim != 4 or x.shape[1] != params.channels:
         raise ValueError(f"attention: expected (B,{params.channels},H,W), got {x.shape}")
-    if ipr.ndim != 2 or ipr.shape[1] != 256 or ipr.shape[0] != x.shape[0]:
-        raise ValueError(f"attention: conditioning must be (B,256), got {ipr.shape}")
+    if ipr.ndim != 2 or ipr.shape[1] != params.cond_dim or ipr.shape[0] != x.shape[0]:
+        raise ValueError(f"attention: conditioning must be (B,{params.cond_dim}), got {ipr.shape}")
     b, c, h, w = x.shape
     heads = params.head_count
     c_r = 3 * c // 4
+    k_r = 3 * params.cond_dim // 4
 
     x_r, x_i = x[:, :c_r], x[:, c_r:]
-    k_vr = ad.matmul(ipr[:, :192], params.w_cond_r) + params.b_cond_r
-    k_vi = ad.matmul(ipr[:, 192:], params.w_cond_i) + params.b_cond_i
+    k_vr = ad.matmul(ipr[:, :k_r], params.w_cond_r) + params.b_cond_r
+    k_vi = ad.matmul(ipr[:, k_r:], params.w_cond_i) + params.b_cond_i
     x_r = x_r * ad.reshape(k_vr, (b, c_r, 1, 1)) + x_r
     x_i = x_i * ad.reshape(k_vi, (b, c - c_r, 1, 1)) + x_i
 
@@ -160,11 +165,13 @@ class ToyTransformerBlock:
     is exactly the identity.
     """
 
-    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "block"):
+    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "block",
+                 cond_dim: int = 256):
         self.channels = channels
         self.norm1 = SclnParams.create(channels, f"{prefix}.norm1.gamma")
         self.norm2 = SclnParams.create(channels, f"{prefix}.norm2.gamma")
-        self.attn = AttentionParams(channels, head_count, rng, prefix=f"{prefix}.attn")
+        self.attn = AttentionParams(channels, head_count, rng, prefix=f"{prefix}.attn",
+                                    cond_dim=cond_dim)
         hidden = int(round(FFN_EXPANSION * channels))
         self.w1 = Param(rng.normal((channels, hidden)) / math.sqrt(channels), f"{prefix}.ffn.w1")
         self.b1 = Param(np.zeros(hidden), f"{prefix}.ffn.b1")
@@ -189,10 +196,6 @@ class ToyTransformerBlock:
         if collect is not None:
             collect["block_out"] = out
         return out
-
-
-def toy_transformer_block(x: Tensor, ipr: Tensor, block: ToyTransformerBlock) -> Tensor:
-    return block.forward(x, ipr)
 
 
 # -- decomposition network --------------------------------------------------------
@@ -380,10 +383,6 @@ class VelocityPredictor:
         for w, b in self.blocks:
             h = h + ad.leaky_relu(ad.matmul(h, w) + b, 0.1)
         return ad.matmul(h, self.w_out) + self.b_out
-
-
-def velocity_forward(net: VelocityPredictor, x_t: Tensor, t, c: Tensor) -> Tensor:
-    return net.forward(x_t, t, c)
 
 
 # -- teacher objective ----------------------------------------------------------------

@@ -32,7 +32,6 @@ def default_run():
     t0 = time.perf_counter()
     summary = dh.distill(config)
     summary["elapsed"] = time.perf_counter() - t0
-    summary["config"] = config
     return summary
 
 
@@ -183,18 +182,12 @@ def test_criterion_07_desk_distillation(default_run):
 
 
 def test_criterion_08_sampler_comparison(default_run, tmp_path):
-    config = default_run["config"]
-    teacher = default_run["teacher"]
+    exp = default_run["experiment"]
     rf_net = default_run["nets"]["img"]
     t0 = time.perf_counter()
-    rng = nd.Rng(config.seed)
-    data = dh.synth_dataset(rng.derive("dataset"),
-                            config.dataset_size + config.holdout_size,
-                            config.image_size)[:config.dataset_size]
-    ddim_net = dh.train_ddim_baseline(config, teacher, data)
-    rows_a = dh.compare_samplers(config, rf_net, ddim_net, teacher,
-                                 out_csv=tmp_path / "a.csv")
-    dh.compare_samplers(config, rf_net, ddim_net, teacher, out_csv=tmp_path / "b.csv")
+    ddim_net = dh.train_ddim_baseline(exp)
+    rows_a = dh.compare_samplers(exp, rf_net, ddim_net, out_csv=tmp_path / "a.csv")
+    dh.compare_samplers(exp, rf_net, ddim_net, out_csv=tmp_path / "b.csv")
     elapsed = time.perf_counter() - t0
 
     frechet = {(r.sampler, r.steps): r.frechet for r in rows_a}
@@ -203,7 +196,7 @@ def test_criterion_08_sampler_comparison(default_run, tmp_path):
     # a trained straight flow does not lose quality with more steps (5% slack)
     assert frechet[("rf", 4)] <= frechet[("rf", 1)] * 1.05
     # the baseline improves monotonically with more steps on this task (1% slack)
-    ddim_curve = [frechet[("ddim", s)] for s in config.sampler_steps]
+    ddim_curve = [frechet[("ddim", s)] for s in exp.config.sampler_steps]
     assert all(a >= b * 0.99 for a, b in zip(ddim_curve, ddim_curve[1:]))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert elapsed < 300.0, f"comparison took {elapsed:.0f}s"

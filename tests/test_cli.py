@@ -82,6 +82,17 @@ def test_distill_then_compare_and_reproducibility(tmp_path, capsys, monkeypatch)
     # phase-2 alone reuses the phase-1 checkpoints
     assert cli.main(["train-phase2", "--config", config, "--out", out_a]) == 0
 
+    # the per-phase commands share distill's set-up and writers: same bytes
+    phases, whole = tmp_path / "phases", tmp_path / "b"
+    for command in ("train-phase1", "train-phase2"):
+        assert cli.main([command, "--config", config, "--out", str(phases)]) == 0
+    names = [p.relative_to(whole) for p in sorted(whole.rglob("*"))
+             if p.is_file() and p.name != "summary.json"]
+    assert {n.parts[0] for n in names} == {"phase1_metrics.csv", "phase2_metrics.csv",
+                                           "ckpt_vel_rex", "ckpt_vel_img", "ckpt_student"}
+    for name in names:
+        assert (phases / name).read_bytes() == (whole / name).read_bytes(), name
+
     # sampler table rows: |steps| x 2, reusing checkpoints from the distill run
     capsys.readouterr()
     assert cli.main(["compare-samplers", "--config", config, "--out", out_a,
@@ -89,6 +100,19 @@ def test_distill_then_compare_and_reproducibility(tmp_path, capsys, monkeypatch)
     lines = (tmp_path / "a" / "samplers.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 2
     assert (tmp_path / "a" / "samplers_timing.csv").exists()
+
+
+def test_non_default_feature_dim_runs(tmp_path):
+    config = small_config_file(tmp_path, feature_dim=32, phase1_iters=5, phase2_iters=5)
+    for command in ("distill", "compare-samplers"):
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
+    for t_max in (0, 6):
+        config = small_config_file(tmp_path, t_max=t_max)
+        assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
+        assert "t_max" in capsys.readouterr().err
 
 
 def test_train_phase2_without_checkpoints_fails(tmp_path, capsys):

@@ -42,12 +42,11 @@ def test_config_partial_file_uses_defaults(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        dh.ExperimentConfig(lr_rex=0.0)
-    with pytest.raises(ValueError):
-        dh.ExperimentConfig(image_size=10)
-    with pytest.raises(ValueError):
-        dh.ExperimentConfig(sampler_steps=[0, 3])
+    # t_max bounds every sampler trajectory, so it shares the [1,5] step range
+    for bad in ({"lr_rex": 0.0}, {"image_size": 10}, {"sampler_steps": [0, 3]},
+                {"t_max": 0}, {"t_max": 6}):
+        with pytest.raises(ValueError):
+            dh.ExperimentConfig(**bad)
 
 
 # -- optimizer -----------------------------------------------------------------------
@@ -123,10 +122,7 @@ def test_teacher_deterministic_and_shapes():
 
 def test_phase1_zero_iterations_leaves_nets_at_init():
     cfg = small_config(phase1_iters=0)
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
-    nets, records = dh.train_phase1(cfg, teacher, data)
+    nets, records = dh.train_phase1(dh.Experiment(cfg))
     fresh = nn.VelocityPredictor(nd.Rng(cfg.seed).derive("vel-rex-init"),
                                  cfg.feature_dim, t_max=cfg.t_max, prefix="vel_rex")
     for name, p in nets["rex"].params().items():
@@ -136,10 +132,7 @@ def test_phase1_zero_iterations_leaves_nets_at_init():
 
 def test_phase1_components_sum_to_total():
     cfg = small_config()
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
-    _, records = dh.train_phase1(cfg, teacher, data)
+    _, records = dh.train_phase1(dh.Experiment(cfg))
     assert records
     for rec in records:
         recon = dh.phase1_loss_total(rec.components, cfg)
@@ -150,39 +143,29 @@ def test_phase1_components_sum_to_total():
 
 def test_phase2_requires_trained_nets():
     cfg = small_config()
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
     untrained = {
         "rex": nn.VelocityPredictor(nd.Rng(0), cfg.feature_dim, t_max=cfg.t_max),
         "img": nn.VelocityPredictor(nd.Rng(1), cfg.feature_dim, t_max=cfg.t_max),
     }
     with pytest.raises(ValueError, match="trained"):
-        dh.train_phase2(cfg, untrained, teacher, data)
+        dh.train_phase2(dh.Experiment(cfg), untrained)
 
 
 def test_phase2_components_sum_and_gate_bookkeeping():
-    cfg = small_config()
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
-    nets, _ = dh.train_phase1(cfg, teacher, data)
-    _, records, summary = dh.train_phase2(cfg, nets, teacher, data)
+    exp = dh.Experiment(small_config())
+    nets, _ = dh.train_phase1(exp)
+    _, records, summary = dh.train_phase2(exp, nets)
     for rec in records:
-        recon = dh.phase2_loss_total(rec.components, cfg)
+        recon = dh.phase2_loss_total(rec.components, exp.config)
         assert abs(recon - rec.components["total"]) < 1e-10
     assert 0.0 <= summary["gate_fraction"] <= 1.0
 
 
 def test_phase2_flex_ablation_changes_training():
-    cfg = small_config()
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
-    nets, _ = dh.train_phase1(cfg, teacher, data)
-    student_a, _, _ = dh.train_phase2(cfg, nets, teacher, data)
-    cfg_ablated = small_config(lambda_flex=0.0)
-    student_b, _, _ = dh.train_phase2(cfg_ablated, nets, teacher, data)
+    exp = dh.Experiment(small_config())
+    nets, _ = dh.train_phase1(exp)
+    student_a, _, _ = dh.train_phase2(exp, nets)
+    student_b, _, _ = dh.train_phase2(dh.Experiment(small_config(lambda_flex=0.0)), nets)
     diffs = [np.abs(student_a.params()[k].data - student_b.params()[k].data).max()
              for k in student_a.params()]
     assert max(diffs) > 0.0  # the feature-matching term contributes gradient
@@ -223,22 +206,18 @@ def test_distill_seed_changes_metrics(tmp_path):
 
 @pytest.fixture(scope="module")
 def small_run():
-    cfg = small_config()
-    rng = nd.Rng(cfg.seed)
-    data = dh.synth_dataset(rng.derive("dataset"), cfg.dataset_size, cfg.image_size)
-    teacher = dh.SyntheticTeacher(rng.derive("teacher"), cfg.image_size, cfg.feature_dim)
-    nets, _ = dh.train_phase1(cfg, teacher, data)
-    ddim = dh.train_ddim_baseline(cfg, teacher, data)
-    return cfg, teacher, nets, ddim
+    exp = dh.Experiment(small_config())
+    nets, _ = dh.train_phase1(exp)
+    ddim = dh.train_ddim_baseline(exp)
+    return exp, nets, ddim
 
 
 def test_compare_samplers_row_count_and_csv(small_run, tmp_path):
-    cfg, teacher, nets, ddim = small_run
+    exp, nets, ddim = small_run
     out_csv = tmp_path / "samplers.csv"
     timing_csv = tmp_path / "timing.csv"
-    rows = dh.compare_samplers(cfg, nets["img"], ddim, teacher,
-                               out_csv=out_csv, timing_csv=timing_csv)
-    assert len(rows) == len(cfg.sampler_steps) * 2
+    rows = dh.compare_samplers(exp, nets["img"], ddim, out_csv=out_csv, timing_csv=timing_csv)
+    assert len(rows) == len(exp.config.sampler_steps) * 2
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "sampler,steps,frechet,mse"
     assert len(lines) == 1 + len(rows)
@@ -246,17 +225,18 @@ def test_compare_samplers_row_count_and_csv(small_run, tmp_path):
 
 
 def test_compare_samplers_deterministic_result_csv(small_run, tmp_path):
-    cfg, teacher, nets, ddim = small_run
-    dh.compare_samplers(cfg, nets["img"], ddim, teacher, out_csv=tmp_path / "a.csv")
-    dh.compare_samplers(cfg, nets["img"], ddim, teacher, out_csv=tmp_path / "b.csv")
+    exp, nets, ddim = small_run
+    dh.compare_samplers(exp, nets["img"], ddim, out_csv=tmp_path / "a.csv")
+    dh.compare_samplers(exp, nets["img"], ddim, out_csv=tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_compare_samplers_rejects_untrained(small_run):
-    cfg, teacher, nets, _ = small_run
-    fresh = nn.VelocityPredictor(nd.Rng(0), cfg.feature_dim, t_max=cfg.ddim_train_steps - 1)
+    exp, nets, _ = small_run
+    fresh = nn.VelocityPredictor(nd.Rng(0), exp.config.feature_dim,
+                                 t_max=exp.config.ddim_train_steps - 1)
     with pytest.raises(ValueError, match="trained"):
-        dh.compare_samplers(cfg, nets["img"], fresh, teacher)
+        dh.compare_samplers(exp, nets["img"], fresh)
 
 
 # -- metrics CSV ------------------------------------------------------------------------------------
