@@ -5,14 +5,22 @@ holding its inputs and a backward closure, and `Tensor.backward()` walks the
 nodes in reverse topological order, so each node's inputs are visited after
 the node itself and one pass fills the gradient of every reachable leaf.
 
+Graph lifetime is explicit. `backward()` drops each node's closure and input
+links once the closure has run, so a graph dies as soon as the pass ends
+instead of waiting for the cyclic collector (each closure refers to its own
+node). Inside `with no_grad():` ops record neither, so a forward that is only
+read builds no graph at all.
+
 The op set is closed: everything the restoration networks and losses need
 compiles to the functions below, and each op carries a finite-difference
-test. Elementwise ops broadcast with numpy semantics; gradients are summed
-back onto the original shapes.
+test. `softmax` is one primitive op; `layer_norm` and `l2_normalize` are
+composites of the others. Elementwise ops broadcast with numpy semantics;
+gradients are summed back onto the original shapes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +46,10 @@ class Tensor:
 
     def __init__(self, data, _prev=(), _op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        # a finite sum implies finite entries; a finite array whose sum
+        # overflows falls through to the full scan and passes. numpy warns
+        # on stderr when the sum overflows or meets inf and -inf together.
+        if not math.isfinite(self.data.sum()) and not np.all(np.isfinite(self.data)):
             raise FloatingPointError(f"non-finite values in op '{_op or 'leaf'}'")
         self.grad = None
         self._prev = tuple(_prev)
@@ -57,17 +68,20 @@ class Tensor:
 
     def accum_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass, laid out like `data` as zeros_like would be (BLAS
+            # results downstream depend on the layout); g + 0.0 == 0.0 + g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no graph history (constant leaf)."""
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
+        """Fill the gradient of every leaf reachable from this scalar.
+
+        The walk frees the graph behind it, so a graph can be backwarded
+        once; rebuild it to differentiate again."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar output, got shape {self.shape}")
         # iterative DFS; training graphs can exceed the recursion limit
@@ -88,6 +102,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                # release the graph as it is walked: the closure refers to
+                # its own node, a cycle only the cyclic collector would free
+                node._backward = None
+                node._prev = ()
 
     # -- operator sugar --------------------------------------------------------
 
@@ -177,6 +195,31 @@ class Param(Tensor):
         return f"Param({self.name}, shape={self.shape})"
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op results are constant leaves with
+    the same values. Nests, and restores the previous mode on exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _attach(out: Tensor, bw) -> Tensor:
+    """Give an op's result its backward closure, or, under no_grad, drop its
+    input links so it is a leaf."""
+    if _grad_enabled:
+        out._backward = bw
+    else:
+        out._prev = ()
+    return out
+
+
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -195,8 +238,7 @@ def add(a, b) -> Tensor:
         a.accum_grad(_unbroadcast(out.grad, a.data.shape))
         b.accum_grad(_unbroadcast(out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def sub(a, b) -> Tensor:
@@ -207,8 +249,7 @@ def sub(a, b) -> Tensor:
         a.accum_grad(_unbroadcast(out.grad, a.data.shape))
         b.accum_grad(_unbroadcast(-out.grad, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def mul(a, b) -> Tensor:
@@ -219,8 +260,7 @@ def mul(a, b) -> Tensor:
         a.accum_grad(_unbroadcast(out.grad * b.data, a.data.shape))
         b.accum_grad(_unbroadcast(out.grad * a.data, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def div(a, b) -> Tensor:
@@ -232,8 +272,7 @@ def div(a, b) -> Tensor:
         a.accum_grad(_unbroadcast(out.grad / b.data, a.data.shape))
         b.accum_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -249,8 +288,7 @@ def matmul(a, b) -> Tensor:
         a.accum_grad(_unbroadcast(ga, a.data.shape))
         b.accum_grad(_unbroadcast(gb, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 # -- convolution --------------------------------------------------------------
@@ -284,8 +322,7 @@ def conv2d_3x3(x, w) -> Tensor:
         dxp = np.einsum("bohwkl,oikl->bihw", gwin, wflip, optimize=True)
         x.accum_grad(dxp[:, :, 1:-1, 1:-1])
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 # -- elementwise nonlinearities -----------------------------------------------
@@ -297,8 +334,7 @@ def relu(x) -> Tensor:
     def bw():
         x.accum_grad(out.grad * (x.data > 0.0))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
@@ -309,8 +345,7 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
     def bw():
         x.accum_grad(out.grad * np.where(x.data > 0.0, 1.0, slope))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def exp(x) -> Tensor:
@@ -320,8 +355,7 @@ def exp(x) -> Tensor:
     def bw():
         x.accum_grad(out.grad * out.data)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def sin(x) -> Tensor:
@@ -331,8 +365,7 @@ def sin(x) -> Tensor:
     def bw():
         x.accum_grad(out.grad * np.cos(x.data))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def cos(x) -> Tensor:
@@ -342,8 +375,7 @@ def cos(x) -> Tensor:
     def bw():
         x.accum_grad(-out.grad * np.sin(x.data))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def sqrt(x) -> Tensor:
@@ -353,8 +385,7 @@ def sqrt(x) -> Tensor:
     def bw():
         x.accum_grad(out.grad * 0.5 / out.data)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def power(x, p: float) -> Tensor:
@@ -364,8 +395,7 @@ def power(x, p: float) -> Tensor:
     def bw():
         x.accum_grad(out.grad * p * x.data ** (p - 1.0))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def abs_(x) -> Tensor:
@@ -376,8 +406,7 @@ def abs_(x) -> Tensor:
     def bw():
         x.accum_grad(out.grad * np.sign(x.data))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -389,8 +418,7 @@ def clamp(x, lo: float, hi: float) -> Tensor:
         inside = (x.data >= lo) & (x.data <= hi)
         x.accum_grad(out.grad * inside)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -414,8 +442,7 @@ def sum_(x, axes=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         x.accum_grad(np.broadcast_to(g, x.data.shape).copy())
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def mean(x, axes=None, keepdims: bool = False) -> Tensor:
@@ -432,8 +459,7 @@ def mean(x, axes=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         x.accum_grad(np.broadcast_to(g, x.data.shape) / count)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 # -- structure ----------------------------------------------------------------
@@ -453,22 +479,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
             t.accum_grad(out.grad[tuple(sl)])
             start += s
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def slice_(x, idx) -> Tensor:
-    """Basic-indexing slice; backward scatters into the source positions."""
+    """Indexing (basic or advanced); backward scatters into the source
+    positions, summing over positions an advanced index repeats."""
     x = _lift(x)
     out = Tensor(x.data[idx], (x,), "slice")
 
     def bw():
         g = np.zeros_like(x.data)
-        g[idx] += out.grad
+        np.add.at(g, idx, out.grad)  # g[idx] += would drop repeated positions
         x.accum_grad(g)
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def reshape(x, shape) -> Tensor:
@@ -478,8 +503,7 @@ def reshape(x, shape) -> Tensor:
     def bw():
         x.accum_grad(out.grad.reshape(x.data.shape))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def transpose(x, axes) -> Tensor:
@@ -491,8 +515,7 @@ def transpose(x, axes) -> Tensor:
     def bw():
         x.accum_grad(out.grad.transpose(inverse))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
 def pixel_unshuffle(x, factor: int) -> Tensor:
@@ -504,19 +527,30 @@ def pixel_unshuffle(x, factor: int) -> Tensor:
     def bw():
         x.accum_grad(nd.pixel_shuffle(out.grad, factor))
 
-    out._backward = bw
-    return out
+    return _attach(out, bw)
 
 
-# -- composite normalizations ---------------------------------------------------
-# built from primitive ops so their backward passes need no separate derivation
+# -- normalizations ------------------------------------------------------------
 
 def softmax(x, axis: int = -1) -> Tensor:
+    """One node whose forward and backward do, operation for operation, the
+    arithmetic of the composite exp(x - max) / sum(exp(x - max)), so results
+    match it bit for bit (the closed form y * (g - sum(g * y)) would not)."""
     x = _lift(x)
-    shift = constant(x.data.max(axis=axis, keepdims=True))  # detached; cancels in the ratio
-    e = exp(x - shift)
-    return e / sum_(e, axes=axis, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))  # the shift cancels in the ratio
+    s = e.sum(axis=axis, keepdims=True)
+    out = Tensor(e / s, (x,), "softmax")
 
+    def bw():
+        g = out.grad
+        ge = g / s
+        ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
+        x.accum_grad(ge * e)
+
+    return _attach(out, bw)
+
+
+# composites of the primitive ops, so their backward passes need no separate derivation
 
 def layer_norm(x, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean, unit variance over one axis (no affine part)."""
@@ -600,10 +634,11 @@ def fd_check(f, params, h: float = 1e-5, tol: float = 1e-4,
         worst = 0.0
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f().item()
-            flat[i] = orig - h
-            f_minus = f().item()
+            with no_grad():
+                flat[i] = orig + h
+                f_plus = f().item()
+                flat[i] = orig - h
+                f_minus = f().item()
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise FloatingPointError(f"fd_check: non-finite f at param {p.name}[{i}]")

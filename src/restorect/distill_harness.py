@@ -346,7 +346,8 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: in
     """Frechet distance between Euler-sampled and teacher image features on a
     fixed probe set (fixed z), using the full t_max-step sampler."""
     n = probe_z.shape[0]
-    x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], rf.SamplerConfig(t_max))
+    with ad.no_grad():
+        x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], rf.SamplerConfig(t_max))
     sampled = x.data
     ref = feats.f_img[:n]
     mu1, cov1 = sampled.mean(axis=0), np.cov(sampled, rowvar=False)
@@ -358,7 +359,8 @@ def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> floa
     total = 0.0
     for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
                          ("img", z_img, feats.c_img, feats.f_img)):
-        x, _ = rf.euler_sample(nets[key], z, c[idx], rf.SamplerConfig(t_max))
+        with ad.no_grad():
+            x, _ = rf.euler_sample(nets[key], z, c[idx], rf.SamplerConfig(t_max))
         total += float(((x.data - f[idx]) ** 2).mean())
     return total / 2.0
 
@@ -452,7 +454,8 @@ def _sample_state_at(net, z: np.ndarray, c: np.ndarray, t_idx: int, t_max: int) 
     detached from the graph."""
     if t_idx == 0:
         return z
-    _, traj = rf.euler_sample(net, z, c, rf.SamplerConfig(t_max))
+    with ad.no_grad():
+        _, traj = rf.euler_sample(net, z, c, rf.SamplerConfig(t_max))
     return traj[t_idx - 1].data
 
 
@@ -465,7 +468,8 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
     its conditioning. The feature-matching term compares block activations
     against a frozen copy of the initial student fed the teacher's true
     features, and is gated by the drawn timestep. Velocity losses are logged
-    and enter the total, but the predictors stay frozen.
+    and enter the total as constants: the predictors stay frozen, and no
+    graph is built through them.
     """
     for key in ("rex", "img"):
         if key not in vel_nets or not getattr(vel_nets[key], "trained", False):
@@ -492,7 +496,9 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
         lq, gt = stack_batch(holdout)
         ipr = _sample_state_at(vel_nets["rex"], hold_z, exp.hold_feats.c_rex,
                                config.t_max, config.t_max)
-        return float(np.abs(student.forward(lq, ipr).data - gt).mean())
+        with ad.no_grad():
+            pred = student.forward(lq, ipr)
+        return float(np.abs(pred.data - gt).mean())
 
     initial_holdout = holdout_metric()
     start = time.perf_counter()
@@ -512,12 +518,13 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
         if gate_open:
             gate_hits += 1
             t_acts = {}
-            teacher_side.forward(ad.constant(lq), ad.constant(feats.f_rex[idx]), collect=t_acts)
+            with ad.no_grad():
+                teacher_side.forward(ad.constant(lq), ad.constant(feats.f_rex[idx]), collect=t_acts)
             stud_bundle = fx.FeatureBundle()
             teach_bundle = fx.FeatureBundle()
             for layer in ("attn_res", "block_out"):
                 stud_bundle.add(layer, acts[layer])
-                teach_bundle.add(layer, t_acts[layer].detach())
+                teach_bundle.add(layer, t_acts[layer])
             l_flex = fx.flex_loss(teach_bundle, stud_bundle, t_idx, flex_cfg)
         else:
             l_flex = ad.constant(0.0)
@@ -526,8 +533,9 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
         for key, c_all, f_all in (("rex", feats.c_rex, feats.f_rex),
                                   ("img", feats.c_img, feats.f_img)):
             zv = ad.constant(loop.normal((config.batch_size, config.feature_dim)))
-            l_vel[key] = rf.velocity_matching_loss(
-                vel_nets[key], (zv, ad.constant(f_all[idx]), ad.constant(c_all[idx])), loop)
+            with ad.no_grad():
+                l_vel[key] = rf.velocity_matching_loss(
+                    vel_nets[key], (zv, ad.constant(f_all[idx]), ad.constant(c_all[idx])), loop)
 
         total = l_rec + config.lambda_flex * l_flex \
             + config.lambda_vel * (l_vel["rex"] + l_vel["img"])
@@ -636,11 +644,12 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
     for steps in config.sampler_steps:
         for name in ("rf", "ddim"):
             t0 = time.perf_counter()
-            if name == "rf":
-                x, _ = rf.euler_sample(rf_net, z, evals.c_img, rf.SamplerConfig(steps))
-            else:
-                cfg = rf.SamplerConfig(steps=steps, kind=rf.DDIM_BASELINE)
-                x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, cfg, ddim_net.alpha_bars)
+            with ad.no_grad():
+                if name == "rf":
+                    x, _ = rf.euler_sample(rf_net, z, evals.c_img, rf.SamplerConfig(steps))
+                else:
+                    cfg = rf.SamplerConfig(steps=steps, kind=rf.DDIM_BASELINE)
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, cfg, ddim_net.alpha_bars)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             sampled = x.data
             fd = nd.gaussian_frechet_distance(sampled.mean(axis=0),

@@ -447,10 +447,14 @@ def load_checkpoint(directory) -> dict:
 
 
 def restore_params(params: dict, arrays: dict) -> None:
-    """Load checkpoint arrays into an existing param dict, by name."""
+    """Load checkpoint arrays into an existing param dict, by name; the two
+    name sets must be equal."""
     missing = set(params) - set(arrays)
     if missing:
         raise KeyError(f"checkpoint missing params: {sorted(missing)}")
+    unknown = set(arrays) - set(params)
+    if unknown:
+        raise KeyError(f"checkpoint has unknown params: {sorted(unknown)}")
     for name, p in params.items():
         if arrays[name].shape != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")

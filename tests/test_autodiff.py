@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -252,3 +255,109 @@ def test_fd_check_requires_scalar():
     x = ad.Param(np.ones(3), "x")
     with pytest.raises(ValueError):
         ad.fd_check(lambda: x * 2.0, [x])
+
+
+def test_slice_gradient_sums_repeated_advanced_indices():
+    x = ad.Param(np.zeros(4), "x")
+    ad.sum_(x[[1, 1, 2]]).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
+    m = ad.Param(np.zeros((3, 2)), "m")
+    ad.sum_(m[np.array([0, 2, 0]), 1:] * 3.0).backward()
+    np.testing.assert_array_equal(m.grad, [[0.0, 6.0], [0.0, 0.0], [0.0, 3.0]])
+
+
+# -- graph lifetime: no_grad and release after backward ------------------------------------
+
+def test_no_grad_builds_leaves_with_the_same_values():
+    x = rand_param(40, (3, 4))
+    w = rand_param(41, (4, 2))
+    expected = ad.softmax(ad.matmul(x, w) * 2.0, axis=-1).data
+    with ad.no_grad():
+        h = ad.matmul(x, w) * 2.0
+        y = ad.softmax(h, axis=-1)
+    for node in (h, y):
+        assert node._prev == ()
+        assert node._backward is None
+    np.testing.assert_array_equal(y.data, expected)
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = ad.Param(np.ones(2), "x")
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert (x * 2.0)._backward is None
+    assert (x * 2.0)._backward is not None
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    y = x * 2.0
+    assert y._prev[0] is x and y._backward is not None
+
+
+def test_frozen_param_read_under_no_grad_gets_no_gradient():
+    trained = ad.Param(np.array([1.5, -0.5]), "trained")
+    frozen = ad.Param(np.array([2.0, 3.0]), "frozen")
+    with ad.no_grad():
+        term = ad.sum_(frozen * frozen)
+    loss = ad.sum_(trained * trained) + term
+    assert loss.item() == pytest.approx(2.5 + 13.0)
+    loss.backward()
+    np.testing.assert_array_equal(trained.grad, [3.0, -1.0])
+    assert frozen.grad is None
+
+
+def test_backward_frees_the_graph_without_the_cyclic_collector():
+    x = rand_param(42, (3, 4))
+    gc.disable()
+    try:
+        hidden = ad.exp(x * 0.5)
+        ref = weakref.ref(hidden)
+        loss = ad.mean(hidden * hidden)
+        del hidden
+        loss.backward()
+        del loss
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None
+
+
+# -- fused softmax ------------------------------------------------------------------------
+
+def composite_softmax(x, axis=-1):
+    """The softmax built from primitive ops, kept as the bit-level reference."""
+    x = ad._lift(x)
+    shift = ad.constant(x.data.max(axis=axis, keepdims=True))
+    e = ad.exp(x - shift)
+    return e / ad.sum_(e, axes=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_fused_softmax_is_bit_equal_to_composite(axis):
+    for seed in range(5):
+        rng = nd.Rng(300 + seed)
+        probe = ad.constant(rng.normal((2, 5, 3, 6)))
+        results = []
+        for fn in (ad.softmax, composite_softmax):
+            x = ad.Param(rng.derive("x").normal((2, 5, 3, 6)) * 4.0, "x")
+            y = fn(x, axis=axis)
+            ad.sum_(y * probe).backward()
+            results.append((y.data, x.grad))
+        (y_fused, g_fused), (y_ref, g_ref) = results
+        assert y_fused.tobytes() == y_ref.tobytes()
+        assert g_fused.tobytes() == g_ref.tobytes()
+
+
+# -- finite guard -------------------------------------------------------------------------
+
+def test_finite_guard_accepts_finite_arrays_whose_sum_overflows():
+    with np.errstate(over="ignore"):
+        t = ad.Tensor(np.array([1e308, 1e308]))
+    np.testing.assert_array_equal(t.data, [1e308, 1e308])
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf], [np.inf, -np.inf]])
+def test_finite_guard_rejects_non_finite_entries(values):
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        ad.Tensor(np.array(values))

@@ -386,3 +386,11 @@ def test_checkpoint_missing_param_error(tmp_path):
     nn.save_checkpoint(tmp_path / "ckpt", {"only.one": net.w_in})
     with pytest.raises(KeyError):
         nn.restore_params(net.params(), nn.load_checkpoint(tmp_path / "ckpt"))
+
+
+def test_checkpoint_unknown_param_error(tmp_path):
+    net = nn.VelocityPredictor(nd.Rng(22), feature_dim=8, cond_dim=8)
+    params = net.params()
+    nn.save_checkpoint(tmp_path / "ckpt", {**params, "bogus.extra": ad.constant(np.zeros(3))})
+    with pytest.raises(KeyError, match="bogus.extra"):
+        nn.restore_params(params, nn.load_checkpoint(tmp_path / "ckpt"))
