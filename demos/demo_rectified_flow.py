@@ -44,8 +44,7 @@ def main():
     z, f, c = sample_batch(rng.derive("eval"), 64)
     endpoints = {}
     for steps in (1, 2, 3, 4, 5):
-        out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(c),
-                                    rf.SamplerConfig(steps))
+        out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(c), steps)
         err = float(((out.data - f) ** 2).mean())
         endpoints[steps] = out.data
         print(f"  steps={steps}: feature mse {err:.4f}  (net called {len(traj)} times)")
@@ -54,7 +53,7 @@ def main():
     print(f"\nmax endpoint drift between 1-step and 4-step sampling: {drift:.4f}")
     print("(a perfectly straight learned field would make this exactly zero)")
 
-    out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(c), rf.SamplerConfig(4))
+    out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(c), 4)
     l_traj = rf.trajectory_consistency_loss(traj, ad.constant(f))
     print(f"trajectory consistency loss on the 4-step path: {l_traj.item():.4f}")
 

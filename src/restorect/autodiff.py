@@ -9,13 +9,16 @@ Graph lifetime is explicit. `backward()` drops each node's closure and input
 links once the closure has run, so a graph dies as soon as the pass ends
 instead of waiting for the cyclic collector (each closure refers to its own
 node). Inside `with no_grad():` ops record neither, so a forward that is only
-read builds no graph at all.
+read builds no graph at all. Forwards that never need a gradient, such as
+the frozen teacher encoder, run these same ops that way rather than keeping
+a numpy copy of them.
 
 The op set is closed: everything the restoration networks and losses need
 compiles to the functions below, and each op carries a finite-difference
-test. `softmax` is one primitive op; `layer_norm` and `l2_normalize` are
-composites of the others. Elementwise ops broadcast with numpy semantics;
-gradients are summed back onto the original shapes.
+test. `softmax` is one primitive op; `layer_norm` (over an axis or a tuple
+of axes) and `l2_normalize` are composites of the others. Elementwise ops
+broadcast with numpy semantics; gradients are summed back onto the original
+shapes.
 """
 
 from __future__ import annotations
@@ -143,24 +146,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
 
     # method forms; dispatch through module globals so tests can patch ops
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def power(self, p):
-        return power(self, p)
-
-    def clamp(self, lo, hi):
-        return clamp(self, lo, hi)
-
     def mean(self, axes=None, keepdims=False):
         return mean(self, axes, keepdims)
 
@@ -169,9 +154,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -552,8 +534,9 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 # composites of the primitive ops, so their backward passes need no separate derivation
 
-def layer_norm(x, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean, unit variance over one axis (no affine part)."""
+def layer_norm(x, axis=-1, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean, unit variance over an axis or a tuple of axes
+    (no affine part)."""
     x = _lift(x)
     mu = mean(x, axes=axis, keepdims=True)
     d = x - mu

@@ -219,12 +219,11 @@ def _decomp_preact_margin(net: nn.DecompositionNet, img: np.ndarray) -> float:
     need this to stay well above h so no step crosses an activation kink."""
     h = img
     margin = np.inf
-    for i in range(4):
-        win = ad._windows3x3(h)
-        pre = np.einsum("bihwkl,oikl->bohw", win, net.weights[i].data, optimize=True) \
-            + net.biases[i].data.reshape(1, -1, 1, 1)
-        margin = min(margin, float(np.abs(pre).min()))
-        h = np.where(pre > 0, pre, (0.2 if i < 3 else 0.0) * pre)
+    with ad.no_grad():
+        for w, b in zip(net.weights, net.biases):
+            pre = ad.conv2d_3x3(h, w) + ad.reshape(b, (1, -1, 1, 1))
+            margin = min(margin, float(np.abs(pre.data).min()))
+            h = ad.leaky_relu(pre, 0.2)  # the last layer's output is not used
     return margin
 
 
@@ -541,14 +540,7 @@ def inv_aniso_lap():
 @check("inv_hvi_red_continuity")
 def inv_hvi_red():
     delta = 1e-3
-
-    def rgb(h):
-        c = 1.0
-        x = c * (1.0 - abs(h % 2.0 - 1.0))
-        sector = [(c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c), (c, 0, x)][int(h) % 6]
-        return sector
-
-    arr = np.array([rgb(6.0 - delta), rgb(delta)]).T.reshape(1, 3, 1, 2)
+    arr = np.array([hvi.hue_rgb(6.0 - delta), hvi.hue_rgb(delta)]).T.reshape(1, 3, 1, 2)
     out = hvi.to_polarized_hvi(ad.constant(arr), hvi.HviParams())
     gap = max(abs(float(p.data[0, 0, 0, 0] - p.data[0, 0, 0, 1])) for p in out.planes())
     return bool(gap < 1e-2), f"boundary gap {gap:.2e}"
@@ -614,7 +606,7 @@ def inv_euler():
     c = ad.constant(np.zeros((2, 6)))
     errs = []
     for steps in (1, 2, 4):
-        out, _ = rfl.euler_sample(Oracle(), ad.constant(z), c, rfl.SamplerConfig(steps))
+        out, _ = rfl.euler_sample(Oracle(), ad.constant(z), c, steps)
         errs.append(np.abs(out.data - f_t).max())
     return bool(max(errs) < 1e-12), f"max endpoint err {max(errs):.2e}"
 
@@ -631,8 +623,7 @@ def inv_euler_calls():
 
     for steps in (1, 3, 5):
         net = Counting()
-        rfl.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))),
-                         rfl.SamplerConfig(steps))
+        rfl.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))), steps)
         if net.calls != steps:
             return False, f"steps={steps} made {net.calls} calls"
     return True, "net called exactly steps times"
@@ -698,8 +689,7 @@ def inv_ddim():
 
     z = ad.constant(rng.normal((2, 5)))
     c = ad.constant(np.zeros((2, 5)))
-    out = rfl.ddim_baseline_sample(Oracle(), z, c,
-                                   rfl.SamplerConfig(5, kind=rfl.DDIM_BASELINE), alpha_bars)
+    out = rfl.ddim_baseline_sample(Oracle(), z, c, 5, alpha_bars)
     err = np.abs(out.data - x0).max()
     return bool(err < 1e-9), f"recovery err {err:.2e}"
 

@@ -161,13 +161,7 @@ def cmd_demo_hvi(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     params = hvi.HviParams()
     hues = np.concatenate([np.linspace(0.0, 5.999, 120), [1e-3, 6.0 - 1e-3]])
-
-    def hue_rgb(h):
-        c = 1.0
-        x = c * (1.0 - abs(h % 2.0 - 1.0))
-        return [(c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c), (c, 0, x)][int(h) % 6]
-
-    arr = np.array([hue_rgb(h) for h in hues]).T.reshape(1, 3, 1, -1)
+    arr = np.array([hvi.hue_rgb(h) for h in hues]).T.reshape(1, 3, 1, -1)
     out = hvi.to_polarized_hvi(ad.constant(arr), params)
     lines = ["hue,h_polar,v_polar,i_polar"]
     for i, h in enumerate(hues):
@@ -225,10 +219,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except dh.TrainingDiverged as exc:
-        print(f"restorect {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (dh.TrainingDiverged, FloatingPointError, np.linalg.LinAlgError,
+            ValueError, KeyError, FileNotFoundError) as exc:
         print(f"restorect {args.command}: {exc}", file=sys.stderr)
         return 1
 

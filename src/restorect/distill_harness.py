@@ -31,8 +31,9 @@ from .autodiff import Param, Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training loss stops being finite; the diagnostic record
-    has already been appended to the metrics stream."""
+    """Raised when training stops being finite: a phase loss (its diagnostic
+    record is appended to the metrics stream first) or an Adam second moment
+    (the message names the param; no record is appended)."""
 
 
 @dataclass
@@ -124,7 +125,9 @@ def write_metrics_csv(path, records: list, component_names: list) -> None:
 
 class Adam:
     """Adaptive-moment optimizer with momentum terms (0.9, 0.999); param
-    clamp bounds are re-applied after every step."""
+    clamp bounds are re-applied after every step. A step whose second moment
+    is no longer finite (a non-finite gradient entry, or g*g overflowing)
+    raises TrainingDiverged naming the param."""
 
     def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = dict(params)
@@ -153,6 +156,9 @@ class Adam:
             v += (1.0 - self.b2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.apply_bounds()
+            # the finite guard of Tensor.__init__: a finite sum implies finite entries
+            if not math.isfinite(v.sum()) and not np.all(np.isfinite(v)):
+                raise TrainingDiverged(f"adam: second moment of {k} is not finite at step {self.t}")
 
 
 def params_checksum(params: dict) -> int:
@@ -247,15 +253,11 @@ class SyntheticTeacher:
             h /= max(feats.std(), 1e-6)
 
     def _pool(self, lq: np.ndarray, gt: np.ndarray) -> np.ndarray:
-        x = np.concatenate([lq, gt], axis=1)
-        x = nd.pixel_unshuffle(x, 2)
-        win = ad._windows3x3(x)
-        h1 = np.einsum("bihwkl,oikl->bohw", win, self.w1, optimize=True)
-        h1 = np.where(h1 > 0, h1, 0.1 * h1)
-        win = ad._windows3x3(h1)
-        h2 = np.einsum("bihwkl,oikl->bohw", win, self.w2, optimize=True)
-        h2 = np.where(h2 > 0, h2, 0.1 * h2)
-        return h2.mean(axis=(2, 3))
+        with ad.no_grad():
+            h = ad.pixel_unshuffle(np.concatenate([lq, gt], axis=1), 2)
+            for w in (self.w1, self.w2):
+                h = ad.leaky_relu(ad.conv2d_3x3(h, w), 0.1)
+            return ad.mean(h, axes=(2, 3)).data
 
     def encode_pair(self, lq: np.ndarray, gt: np.ndarray):
         """Teacher feature targets for (lq, gt) batches: (ipr_rex, ipr_img)."""
@@ -347,7 +349,7 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: in
     fixed probe set (fixed z), using the full t_max-step sampler."""
     n = probe_z.shape[0]
     with ad.no_grad():
-        x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], rf.SamplerConfig(t_max))
+        x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], t_max)
     sampled = x.data
     ref = feats.f_img[:n]
     mu1, cov1 = sampled.mean(axis=0), np.cov(sampled, rowvar=False)
@@ -360,7 +362,7 @@ def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> floa
     for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
                          ("img", z_img, feats.c_img, feats.f_img)):
         with ad.no_grad():
-            x, _ = rf.euler_sample(nets[key], z, c[idx], rf.SamplerConfig(t_max))
+            x, _ = rf.euler_sample(nets[key], z, c[idx], t_max)
         total += float(((x.data - f[idx]) ** 2).mean())
     return total / 2.0
 
@@ -404,7 +406,7 @@ def train_phase1(exp: Experiment, record_sink: list = None):
             fc = ad.constant(f_all[idx])
             cc = ad.constant(c_all[idx])
             l_vel = rf.velocity_matching_loss(nets[key], (zc, fc, cc), loop)
-            x_fin, traj = rf.euler_sample(nets[key], zc, cc, rf.SamplerConfig(config.t_max))
+            x_fin, traj = rf.euler_sample(nets[key], zc, cc, config.t_max)
             d = x_fin - fc
             l_kd = ad.mean(d * d)
             l_traj = rf.trajectory_consistency_loss(traj, fc)
@@ -455,7 +457,7 @@ def _sample_state_at(net, z: np.ndarray, c: np.ndarray, t_idx: int, t_max: int) 
     if t_idx == 0:
         return z
     with ad.no_grad():
-        _, traj = rf.euler_sample(net, z, c, rf.SamplerConfig(t_max))
+        _, traj = rf.euler_sample(net, z, c, t_max)
     return traj[t_idx - 1].data
 
 
@@ -646,10 +648,9 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
             t0 = time.perf_counter()
             with ad.no_grad():
                 if name == "rf":
-                    x, _ = rf.euler_sample(rf_net, z, evals.c_img, rf.SamplerConfig(steps))
+                    x, _ = rf.euler_sample(rf_net, z, evals.c_img, steps)
                 else:
-                    cfg = rf.SamplerConfig(steps=steps, kind=rf.DDIM_BASELINE)
-                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, cfg, ddim_net.alpha_bars)
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps, ddim_net.alpha_bars)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             sampled = x.data
             fd = nd.gaussian_frechet_distance(sampled.mean(axis=0),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import ndtensor as nd
 from .autodiff import Tensor
 
 
@@ -67,10 +68,8 @@ def _check_aligned(teach: FeatureBundle, stud: FeatureBundle) -> None:
 
 def student_channel_stats(stud: Tensor, eps: float):
     """Per-channel population mean and (std + eps) over (B,H,W), detached."""
-    d = stud.data
-    mu = d.mean(axis=(0, 2, 3))
-    sigma = np.sqrt(((d - mu.reshape(1, -1, 1, 1)) ** 2).mean(axis=(0, 2, 3))) + eps
-    return mu, sigma
+    mu, std = nd.mean_std(stud.data, axes=(0, 2, 3))
+    return mu, std + eps
 
 
 def cross_normalize(teach: Tensor, stud: Tensor, eps: float = 1e-6):

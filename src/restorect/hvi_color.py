@@ -45,6 +45,13 @@ class HviImage:
         return (self.h_polar, self.v_polar, self.i_polar)
 
 
+def hue_rgb(h: float) -> tuple:
+    """The rgb color of hue h (any real, period 6) at S = I_max = 1."""
+    x = 1.0 - abs(h % 2.0 - 1.0)
+    return [(1.0, x, 0.0), (x, 1.0, 0.0), (0.0, 1.0, x), (0.0, x, 1.0), (x, 0.0, 1.0),
+            (1.0, 0.0, x)][int(h) % 6]
+
+
 def _validate_rgb(rgb: Tensor, name: str) -> None:
     if rgb.ndim != 4 or rgb.shape[1] != 3:
         raise ValueError(f"{name}: expected (B,3,H,W), got {rgb.shape}")

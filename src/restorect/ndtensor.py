@@ -15,8 +15,6 @@ import zlib
 
 import numpy as np
 
-Tensor = np.ndarray
-
 
 def as_tensor(data) -> np.ndarray:
     """Coerce to a contiguous float64 array and verify every value is finite."""

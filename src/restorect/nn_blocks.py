@@ -45,11 +45,7 @@ def scln(x: Tensor, params: SclnParams) -> Tensor:
     c = x.shape[1]
     if params.gamma.data.shape != (c,):
         raise ValueError(f"scln: gamma has length {params.gamma.data.shape}, input has C={c}")
-    mu = ad.mean(x, axes=(1, 2, 3), keepdims=True)
-    d = x - mu
-    var = ad.mean(d * d, axes=(1, 2, 3), keepdims=True)
-    y = d / ad.sqrt(var + params.eps)
-    return y * ad.reshape(params.gamma, (1, c, 1, 1))
+    return ad.layer_norm(x, axis=(1, 2, 3), eps=params.eps) * ad.reshape(params.gamma, (1, c, 1, 1))
 
 
 # -- QK-normalized retinex attention --------------------------------------------

@@ -5,13 +5,12 @@ sampler for step-count comparisons.
 Time runs from 0 (noise) to 1 (data). The velocity predictor takes a
 discrete timestep on the 0..t_max grid; continuous times are mapped onto it
 by rounding, reconciling continuous-time interpolation with the discrete
-time input.
+time input. Both samplers take a plain step count, `steps`, in [1,5].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +18,14 @@ from . import autodiff as ad
 from . import ndtensor as nd
 from .autodiff import Tensor
 
-RECTIFIED_FLOW = "rectified_flow"
-DDIM_BASELINE = "ddim_baseline"
-
 TRAJ_COEFFS = {"trans": 0.1, "target": 0.5, "cons": 0.2}
 
 
-@dataclass
-class FlowState:
-    """A point on the interpolation path: state x at time t with conditioning c."""
-
-    x: Tensor
-    t: float
-    c: Tensor
-
-    def __post_init__(self):
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError(f"FlowState: t must lie in [0,1], got {self.t}")
-
-
-@dataclass
-class SamplerConfig:
-    steps: int
-    kind: str = RECTIFIED_FLOW
-
-    def __post_init__(self):
-        if not (1 <= int(self.steps) <= 5):
-            raise ValueError(f"SamplerConfig: steps must lie in [1,5], got {self.steps}")
-        if self.kind not in (RECTIFIED_FLOW, DDIM_BASELINE):
-            raise ValueError(f"SamplerConfig: unknown sampler kind '{self.kind}'")
+def _sampler_steps(steps) -> int:
+    """The step count as an int; ValueError unless it is an integer in [1,5]."""
+    if steps not in range(1, 6):
+        raise ValueError(f"sampler steps must be an integer in [1,5], got {steps}")
+    return int(steps)
 
 
 def _as_batch(x) -> Tensor:
@@ -55,13 +33,18 @@ def _as_batch(x) -> Tensor:
     return ad.reshape(x, (1, -1)) if x.ndim == 1 else x
 
 
-def interpolate(z, f_teach, t: float) -> Tensor:
-    """Straight-line path point x_t = (1-t) z + t f."""
-    if not (0.0 <= t <= 1.0):
+def interpolate(z, f_teach, t) -> Tensor:
+    """Straight-line path point x_t = (1-t) z + t f, for one time t or a
+    (B, 1) column holding one time per item."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"interpolate: t must lie in [0,1], got {t}")
     z, f_teach = ad._lift(z), ad._lift(f_teach)
     if z.shape != f_teach.shape:
         raise ValueError(f"interpolate: shape mismatch {z.shape} vs {f_teach.shape}")
+    if t.ndim and t.shape != (z.shape[0], 1):
+        raise ValueError(f"interpolate: t must be a scalar or ({z.shape[0]}, 1), got {t.shape}")
+    t = ad.constant(t)
     return (1.0 - t) * z + t * f_teach
 
 
@@ -90,27 +73,25 @@ def velocity_matching_loss(net, batch, rng: nd.Rng) -> Tensor:
     if z.shape != f_teach.shape or z.shape[0] != c.shape[0]:
         raise ValueError("velocity_matching_loss: batch shapes disagree")
     t = rng.uniform((z.shape[0],))
-    t_col = ad.constant(t.reshape(-1, 1))
-    x_t = (1.0 - t_col) * z + t_col * f_teach
+    x_t = interpolate(z, f_teach, t.reshape(-1, 1))
     t_idx = np.rint(t * net.t_max).astype(np.int64)
     pred = net.forward(x_t, t_idx, c)
-    d = pred - (f_teach - z)
+    d = pred - velocity_target(z, f_teach)
     return ad.mean(ad.sum_(d * d, axes=1))
 
 
-def euler_sample(net, z, c, config: SamplerConfig):
-    """Integrate x' = v(x, t, c) from t=0 with fixed dt = 1/steps.
+def euler_sample(net, z, c, steps: int):
+    """Integrate x' = v(x, t, c) from t=0 with fixed dt = 1/steps, steps in [1,5].
 
     Returns (x_final, trajectory) where the trajectory holds the post-step
     states x^1..x^N; the net is called exactly `steps` times.
     """
-    if config.kind != RECTIFIED_FLOW:
-        raise ValueError(f"euler_sample: config.kind must be '{RECTIFIED_FLOW}'")
+    steps = _sampler_steps(steps)
     x = _as_batch(z)
     c = _as_batch(c)
-    dt = 1.0 / config.steps
+    dt = 1.0 / steps
     trajectory = []
-    for i in range(config.steps):
+    for i in range(steps):
         t = i * dt
         v = net.forward(x, timestep_index(t, net.t_max), c)
         x = x + dt * v
@@ -168,17 +149,15 @@ def ddim_timesteps(T: int, steps: int) -> np.ndarray:
     return np.unique(np.linspace(T - 1, 0, steps).round().astype(np.int64))[::-1]
 
 
-def ddim_baseline_sample(noise_net, z, c, config: SamplerConfig,
-                         alpha_bars: np.ndarray) -> Tensor:
-    """Deterministic DDIM update over `steps` strided timesteps of an
-    epsilon-prediction net trained on the given schedule. The step below the
-    lowest timestep treats alpha_bar as 1, i.e. the final update lands on the
-    predicted clean sample."""
-    if config.kind != DDIM_BASELINE:
-        raise ValueError(f"ddim_baseline_sample: config.kind must be '{DDIM_BASELINE}'")
+def ddim_baseline_sample(noise_net, z, c, steps: int, alpha_bars: np.ndarray) -> Tensor:
+    """Deterministic DDIM update over `steps` (in [1,5]) strided timesteps of
+    an epsilon-prediction net trained on the given schedule. The step below
+    the lowest timestep treats alpha_bar as 1, i.e. the final update lands on
+    the predicted clean sample."""
+    steps = _sampler_steps(steps)
     x = _as_batch(z)
     c = _as_batch(c)
-    taus = ddim_timesteps(len(alpha_bars), config.steps)
+    taus = ddim_timesteps(len(alpha_bars), steps)
     for j, tau in enumerate(taus):
         eps_hat = noise_net.forward(x, int(tau), c)
         ab = float(alpha_bars[tau])

@@ -157,7 +157,7 @@ def test_criterion_06_rectified_flow_exactness():
     c = ad.constant(np.zeros((2, 16)))
     worst = 0.0
     for steps in (1, 2, 4):
-        out, _ = rf.euler_sample(Oracle(), ad.constant(z), c, rf.SamplerConfig(steps))
+        out, _ = rf.euler_sample(Oracle(), ad.constant(z), c, steps)
         worst = max(worst, float(np.abs(out.data - f_t).max()))
     assert worst < 1e-12, f"endpoint error {worst}"
     report(6, f"constant-velocity Euler endpoint error {worst:.2e} < 1e-12 "

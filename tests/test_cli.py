@@ -115,6 +115,20 @@ def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
         assert "t_max" in capsys.readouterr().err
 
 
+def test_diverging_adam_exits_1_naming_the_param(tmp_path, capsys):
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=1e2, lr_img=1e2)
+    assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "restorect distill: adam: second moment of vel_" in err
+
+
+def test_op_level_floating_point_error_exits_1_without_traceback(tmp_path, capsys):
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=1e4, lr_img=1e4)
+    assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("restorect distill: ") and err.count("\n") == 1, err
+
+
 def test_train_phase2_without_checkpoints_fails(tmp_path, capsys):
     config = small_config_file(tmp_path)
     code = cli.main(["train-phase2", "--config", config, "--out", str(tmp_path / "empty")])

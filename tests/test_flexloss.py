@@ -45,6 +45,17 @@ def bruteforce_flex(teach_layers, stud_layers, t, cfg: fx.FlexConfig):
 
 # -- cross_normalize ----------------------------------------------------------------
 
+def test_student_channel_stats_are_bit_equal_to_the_numpy_formula():
+    """student_channel_stats runs on nd.mean_std; pins it to the formula it
+    replaced."""
+    d = nd.Rng(30).normal((3, 5, 4, 6)) * 2.0 + 0.7
+    mu_ref = d.mean(axis=(0, 2, 3))
+    sigma_ref = np.sqrt(((d - mu_ref.reshape(1, -1, 1, 1)) ** 2).mean(axis=(0, 2, 3))) + 1e-6
+    mu, sigma = fx.student_channel_stats(ad.constant(d), 1e-6)
+    assert mu.tobytes() == mu_ref.tobytes()
+    assert sigma.tobytes() == sigma_ref.tobytes()
+
+
 def test_cross_normalize_identical_inputs():
     x = nd.Rng(0).normal((2, 3, 4, 4))
     tn, sn, mu, sigma = fx.cross_normalize(ad.constant(x), ad.constant(x))

@@ -72,6 +72,17 @@ def test_adam_reapplies_clamps():
         assert p.data.item() <= 1.0
 
 
+@pytest.mark.parametrize("g", [1e200, np.nan])
+def test_adam_raises_naming_the_param_once_its_second_moment_is_not_finite(g):
+    ok = ad.Param(np.array([1.0]), "ok")
+    bad = ad.Param(np.array([1.0, 2.0]), "vel_rex.w_in")
+    opt = dh.Adam({"ok": ok, "vel_rex.w_in": bad}, lr=0.1)
+    ok.grad = np.array([1.0])
+    bad.grad = np.array([g, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(dh.TrainingDiverged, match=r"vel_rex\.w_in"):
+        opt.step()
+
+
 # -- synthetic data --------------------------------------------------------------------
 
 def test_synth_dataset_deterministic():
@@ -116,6 +127,29 @@ def test_teacher_deterministic_and_shapes():
     c_rex, c_img = teacher.conditioning(lq)
     assert c_rex.shape == (4, 64)
     assert not np.array_equal(c_rex, f_rex)  # gt carries extra information
+
+
+def reference_pool(teacher, lq, gt):
+    """SyntheticTeacher._pool as it was written in numpy before it ran on the
+    autodiff ops: pixel-unshuffle, two 3x3 convs with LeakyReLU(0.1), mean."""
+    x = nd.pixel_unshuffle(np.concatenate([lq, gt], axis=1), 2)
+    for w in (teacher.w1, teacher.w2):
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+        h = np.einsum("bihwkl,oikl->bohw", win, w, optimize=True)
+        x = np.where(h > 0, h, 0.1 * h)
+    return x.mean(axis=(2, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_teacher_features_are_bit_equal_to_the_numpy_forward(seed):
+    rng = nd.Rng(seed)
+    teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=32)
+    lq, gt = dh.stack_batch(dh.synth_dataset(rng.derive("d"), 6, 16))
+    for got, pooled in ((teacher.encode_pair(lq, gt), reference_pool(teacher, lq, gt)),
+                        (teacher.conditioning(lq), reference_pool(teacher, lq, lq))):
+        assert got[0].tobytes() == (pooled @ teacher.h_rex).tobytes()
+        assert got[1].tobytes() == (pooled @ teacher.h_img).tobytes()
 
 
 # -- phase 1 --------------------------------------------------------------------------------

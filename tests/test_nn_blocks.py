@@ -56,6 +56,31 @@ def test_scln_gradient_fd():
         assert report.passed, report.summary()
 
 
+def test_scln_is_bit_equal_to_the_explicit_composite():
+    """scln runs on ad.layer_norm over (C,H,W); pins it, forward and
+    backward, to the mean/variance composite it replaced."""
+    def composite(x, params):
+        mu = ad.mean(x, axes=(1, 2, 3), keepdims=True)
+        d = x - mu
+        var = ad.mean(d * d, axes=(1, 2, 3), keepdims=True)
+        y = d / ad.sqrt(var + params.eps)
+        return y * ad.reshape(params.gamma, (1, x.shape[1], 1, 1))
+
+    for seed in range(3):
+        rng = nd.Rng(400 + seed)
+        probe = ad.constant(rng.normal((2, 4, 3, 5)))
+        results = []
+        for fn in (nn.scln, composite):
+            x = ad.Param(rng.derive("x").normal((2, 4, 3, 5)) * 3.0 + 1.0, "x")
+            params = nn.SclnParams.create(4)
+            params.gamma.data[...] = rng.derive("g").uniform((4,), 0.5, 1.5)
+            y = fn(x, params)
+            ad.sum_(y * probe).backward()
+            results.append((y.data, x.grad, params.gamma.grad))
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+
 # -- attention -----------------------------------------------------------------------
 
 def manual_v_projection(x, ipr, params):

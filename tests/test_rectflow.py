@@ -62,6 +62,24 @@ def test_interpolate_affine_in_endpoints():
         np.testing.assert_allclose(scaled, a * base, rtol=1e-12)
 
 
+def test_interpolate_per_item_column_matches_scalar_rows():
+    rng = nd.Rng(20)
+    z, f = rng.normal((3, 5)), rng.normal((3, 5))
+    t = np.array([[0.0], [0.3], [1.0]])
+    got = rf.interpolate(ad.constant(z), ad.constant(f), t).data
+    for i in range(3):
+        row = rf.interpolate(ad.constant(z[i:i + 1]), ad.constant(f[i:i + 1]), float(t[i, 0]))
+        assert got[i:i + 1].tobytes() == row.data.tobytes()
+
+
+def test_interpolate_rejects_bad_t_column():
+    z = ad.constant(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        rf.interpolate(z, z, np.array([[0.5], [1.5]]))
+    with pytest.raises(ValueError):
+        rf.interpolate(z, z, np.array([0.5, 0.5]))  # a row, not a column
+
+
 def test_velocity_target_properties():
     rng = nd.Rng(1)
     z = rng.normal((3, 4))
@@ -101,6 +119,32 @@ def test_velocity_loss_zero_net_closed_form():
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
+def test_velocity_loss_is_bit_equal_to_the_inline_composite():
+    """Pins the rewrite onto interpolate/velocity_target against the loss as
+    it was written inline before."""
+    def reference(net, batch, rng):
+        z, f_teach, c = batch
+        t = rng.uniform((z.shape[0],))
+        t_col = ad.constant(t.reshape(-1, 1))
+        x_t = (1.0 - t_col) * z + t_col * f_teach
+        pred = net.forward(x_t, np.rint(t * net.t_max).astype(np.int64), c)
+        d = pred - (f_teach - z)
+        return ad.mean(ad.sum_(d * d, axes=1))
+
+    rng = nd.Rng(21)
+    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, cond_dim=6)
+    batch = tuple(ad.constant(rng.normal((4, 6))) for _ in range(3))
+    results = []
+    for fn in (rf.velocity_matching_loss, reference):
+        for p in net.params().values():
+            p.zero_grad()
+        loss = fn(net, batch, nd.Rng(5))
+        loss.backward()
+        results.append([loss.data] + [p.grad for p in net.params().values()])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_velocity_loss_empty_batch_error():
     net = ConstantVelocityNet(np.zeros(4))
     empty = ad.constant(np.zeros((0, 4)))
@@ -132,8 +176,7 @@ def test_euler_exact_for_constant_field():
     f = rng.normal((2, 6))
     for steps in (1, 2, 4):
         net = ExactVelocityNet(z, f)
-        out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(np.zeros((2, 6))),
-                                    rf.SamplerConfig(steps))
+        out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(np.zeros((2, 6))), steps)
         assert np.abs(out.data - f).max() < 1e-12
         assert len(traj) == steps
 
@@ -144,39 +187,27 @@ def test_euler_step_count_invariance_for_straight_field():
     f = rng.normal((1, 4))
     c = ad.constant(np.zeros((1, 4)))
     net = ExactVelocityNet(z, f)
-    one = rf.euler_sample(net, ad.constant(z), c, rf.SamplerConfig(1))[0].data
-    four = rf.euler_sample(net, ad.constant(z), c, rf.SamplerConfig(4))[0].data
+    one = rf.euler_sample(net, ad.constant(z), c, 1)[0].data
+    four = rf.euler_sample(net, ad.constant(z), c, 4)[0].data
     assert np.abs(one - four).max() < 1e-12
 
 
 def test_euler_calls_net_exactly_steps_times():
     for steps in (1, 3, 5):
         net = ConstantVelocityNet(np.ones(4))
-        rf.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))),
-                        rf.SamplerConfig(steps))
+        rf.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))), steps)
         assert net.calls == steps
 
 
-def test_euler_rejects_wrong_kind():
-    net = ConstantVelocityNet(np.ones(4))
-    with pytest.raises(ValueError):
-        rf.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))),
-                        rf.SamplerConfig(2, kind=rf.DDIM_BASELINE))
-
-
-def test_sampler_config_validation():
-    with pytest.raises(ValueError):
-        rf.SamplerConfig(0)
-    with pytest.raises(ValueError):
-        rf.SamplerConfig(6)
-    with pytest.raises(ValueError):
-        rf.SamplerConfig(2, kind="euler_maruyama")
-
-
-def test_flow_state_validates_time():
-    rf.FlowState(ad.constant(np.zeros(2)), 0.5, ad.constant(np.zeros(2)))
-    with pytest.raises(ValueError):
-        rf.FlowState(ad.constant(np.zeros(2)), 1.2, ad.constant(np.zeros(2)))
+def test_samplers_reject_steps_outside_one_to_five():
+    z, c = ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4)))
+    net = ConstantVelocityNet(np.zeros(4))
+    for steps in (0, 6, 2.5):
+        with pytest.raises(ValueError):
+            rf.euler_sample(net, z, c, steps)
+        with pytest.raises(ValueError):
+            rf.ddim_baseline_sample(net, z, c, steps, rf.cosine_alpha_bars(50))
+    assert net.calls == 0
 
 
 # -- trajectory consistency loss --------------------------------------------------------------
@@ -257,7 +288,7 @@ def test_ddim_perfect_oracle_recovers_sample():
     oracle = PerfectEpsOracle(x0, alpha_bars)
     for steps in (1, 3, 5):
         out = rf.ddim_baseline_sample(oracle, ad.constant(z), ad.constant(np.zeros((2, 5))),
-                                      rf.SamplerConfig(steps, kind=rf.DDIM_BASELINE), alpha_bars)
+                                      steps, alpha_bars)
         np.testing.assert_allclose(out.data, x0, atol=1e-9)
 
 
@@ -267,18 +298,8 @@ def test_ddim_endpoint_finite_for_random_nets():
         rng = nd.Rng(seed)
         net = nn.VelocityPredictor(rng.derive("d"), feature_dim=6, cond_dim=6, t_max=49)
         out = rf.ddim_baseline_sample(net, ad.constant(rng.normal((2, 6))),
-                                      ad.constant(rng.normal((2, 6))),
-                                      rf.SamplerConfig(3, kind=rf.DDIM_BASELINE), alpha_bars)
+                                      ad.constant(rng.normal((2, 6))), 3, alpha_bars)
         assert np.all(np.isfinite(out.data))
-
-
-def test_ddim_rejects_wrong_kind():
-    alpha_bars = rf.cosine_alpha_bars(50)
-    net = ConstantVelocityNet(np.zeros(4))
-    with pytest.raises(ValueError):
-        rf.ddim_baseline_sample(net, ad.constant(np.zeros((1, 4))),
-                                ad.constant(np.zeros((1, 4))),
-                                rf.SamplerConfig(2, kind=rf.RECTIFIED_FLOW), alpha_bars)
 
 
 def test_cosine_schedule_shape():
