@@ -199,10 +199,20 @@ def test_euler_calls_net_exactly_steps_times():
         assert net.calls == steps
 
 
-def test_samplers_reject_steps_outside_one_to_five():
+def test_euler_rejects_wrong_kind():
+    # a step count that is not an integer is refused before the net is called
+    net = ConstantVelocityNet(np.ones(4))
+    for steps in (2.5, "2"):
+        with pytest.raises(ValueError):
+            rf.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))),
+                            steps)
+    assert net.calls == 0
+
+
+def test_sampler_config_validation():
     z, c = ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4)))
     net = ConstantVelocityNet(np.zeros(4))
-    for steps in (0, 6, 2.5):
+    for steps in (0, 6):
         with pytest.raises(ValueError):
             rf.euler_sample(net, z, c, steps)
         with pytest.raises(ValueError):
@@ -300,6 +310,17 @@ def test_ddim_endpoint_finite_for_random_nets():
         out = rf.ddim_baseline_sample(net, ad.constant(rng.normal((2, 6))),
                                       ad.constant(rng.normal((2, 6))), 3, alpha_bars)
         assert np.all(np.isfinite(out.data))
+
+
+def test_ddim_rejects_wrong_kind():
+    # a step count that is not an integer is refused before the net is called
+    alpha_bars = rf.cosine_alpha_bars(50)
+    net = ConstantVelocityNet(np.zeros(4))
+    for steps in (2.5, "2"):
+        with pytest.raises(ValueError):
+            rf.ddim_baseline_sample(net, ad.constant(np.zeros((1, 4))),
+                                    ad.constant(np.zeros((1, 4))), steps, alpha_bars)
+    assert net.calls == 0
 
 
 def test_cosine_schedule_shape():
