@@ -23,7 +23,7 @@ def grad_norm(loss_fn, param):
 
 
 def main():
-    cfg = fx.FlexConfig()
+    t_max = 4
     rng = nd.Rng(0)
 
     # 1. teacher scale mismatch: heavy-tailed teacher, student outliers at the
@@ -39,9 +39,9 @@ def main():
 
     print("teacher scale robustness (gradient norms w.r.t. the student):")
     for scale in (1.0, 1000.0):
-        tb = fx.FeatureBundle().add("l", ad.constant(scale * teach))
-        sb = fx.FeatureBundle().add("l", stud)
-        g_flex = grad_norm(lambda: fx.flex_loss(tb, sb, 0, cfg), stud)
+        tb = {"l": ad.constant(scale * teach)}
+        sb = {"l": stud}
+        g_flex = grad_norm(lambda: fx.flex_loss(tb, sb, 0, t_max), stud)
         t_const = ad.constant(scale * teach)
         g_mse = grad_norm(lambda: ad.mean((t_const - stud) * (t_const - stud)), stud)
         print(f"  teacher x{scale:6.0f}: flex grad {g_flex:10.4f}   mse grad {g_mse:10.4f}")
@@ -49,16 +49,16 @@ def main():
     # 2. corruption: spikes on 4% of one channel's positions
     stud2 = rng.normal((2, 16, 10, 10))
     teach2 = stud2 + 0.3 * rng.normal((2, 16, 10, 10))
-    tb = fx.FeatureBundle().add("l", ad.constant(teach2))
-    sb = fx.FeatureBundle().add("l", ad.constant(stud2))
-    clean = fx.flex_loss(tb, sb, 0, cfg).item()
+    tb = {"l": ad.constant(teach2)}
+    sb = {"l": ad.constant(stud2)}
+    clean = fx.flex_loss(tb, sb, 0, t_max).item()
     corrupted = stud2.copy()
     hit = np.zeros(200, dtype=bool)
     hit[rng.permutation(200)[:8]] = True
     corrupted[:, 3][hit.reshape(2, 10, 10)] = 1e6
-    tb2 = fx.FeatureBundle().add("l", ad.constant(teach2))
-    sb2 = fx.FeatureBundle().add("l", ad.constant(corrupted))
-    spiked = fx.flex_loss(tb2, sb2, 0, cfg).item()
+    tb2 = {"l": ad.constant(teach2)}
+    sb2 = {"l": ad.constant(corrupted)}
+    spiked = fx.flex_loss(tb2, sb2, 0, t_max).item()
     mse_clean = float(((teach2 - stud2) ** 2).mean())
     mse_spiked = float(((teach2 - corrupted) ** 2).mean())
     print("\ncorruption robustness (8 spikes of 1e6 in one channel):")
@@ -68,17 +68,17 @@ def main():
     # 3. resolution weighting
     print("\nper-layer weight of an identical per-element error across scales:")
     for size in (16, 64, 256, 4096):
-        print(f"  {size:5d} x {size:<5d} -> w_res = {fx.resolution_weight(size, size, cfg):.4f}")
+        print(f"  {size:5d} x {size:<5d} -> w_res = {fx.resolution_weight(size, size):.4f}")
 
     # SNR gate
-    print("\nSNR gate over the discrete timestep grid (t_max = 4):")
+    print(f"\nSNR gate over the discrete timestep grid (t_max = {t_max}):")
     stud3 = rng.normal((1, 2, 4, 4))
-    tb3 = fx.FeatureBundle().add("l", ad.constant(stud3 + 1.0))
-    sb3 = fx.FeatureBundle().add("l", ad.constant(stud3))
-    for t in range(5):
-        val = fx.flex_loss(tb3, sb3, t, cfg).item()
+    tb3 = {"l": ad.constant(stud3 + 1.0)}
+    sb3 = {"l": ad.constant(stud3)}
+    for t in range(t_max + 1):
+        val = fx.flex_loss(tb3, sb3, t, t_max).item()
         state = "active" if val > 0 else "gated off"
-        print(f"  t={t} (t/t_max={t / 4:.2f}): loss={val:8.4f}  [{state}]")
+        print(f"  t={t} (t/t_max={t / t_max:.2f}): loss={val:8.4f}  [{state}]")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ def main():
         z = r.normal((n, dim))
         return z, f, c
 
-    net = nn.VelocityPredictor(rng.derive("net"), feature_dim=dim, cond_dim=dim)
+    net = nn.VelocityPredictor(rng.derive("net"), feature_dim=dim)
     opt = Adam(net.params(), 2e-3)
     loop = rng.derive("loop")
     for it in range(400):

@@ -31,7 +31,7 @@ class DiffusionParams:
 
 
 def _check_image(x: Tensor, name: str) -> Tensor:
-    x = ad._lift(x)
+    x = ad.constant(x)
     if x.ndim != 4:
         raise ValueError(f"{name}: expected (B,C,H,W), got {x.shape}")
     if x.shape[2] < 2 or x.shape[3] < 2:
@@ -84,7 +84,7 @@ def anisotropic_operator(x: Tensor, params: DiffusionParams) -> Tensor:
 def texture_loss(input_img: Tensor, r_pred: Tensor, params: DiffusionParams) -> Tensor:
     """Mean L1 between the diffusion responses of the input and the predicted
     reflectance; zero iff the two responses agree."""
-    input_img, r_pred = ad._lift(input_img), ad._lift(r_pred)
+    input_img, r_pred = ad.constant(input_img), ad.constant(r_pred)
     if input_img.shape != r_pred.shape:
         raise ValueError(f"texture_loss: shape mismatch {input_img.shape} vs {r_pred.shape}")
     return ad.mean(ad.abs_(anisotropic_operator(input_img, params) - anisotropic_operator(r_pred, params)))
@@ -97,7 +97,7 @@ def illumination_smoothness_loss(lum: Tensor) -> Tensor:
     differentiable on flat regions), so genuine edges are penalized less per
     unit gradient energy than shallow ramps.
     """
-    lum = ad._lift(lum)
+    lum = ad.constant(lum)
     if lum.ndim != 4 or lum.shape[1] != 1:
         raise ValueError(f"illumination_smoothness_loss: expected (B,1,H,W), got {lum.shape}")
     gx, gy = spatial_gradients(lum)

@@ -49,10 +49,7 @@ class Tensor:
 
     def __init__(self, data, _prev=(), _op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        # a finite sum implies finite entries; a finite array whose sum
-        # overflows falls through to the full scan and passes. numpy warns
-        # on stderr when the sum overflows or meets inf and -inf together.
-        if not math.isfinite(self.data.sum()) and not np.all(np.isfinite(self.data)):
+        if not nd.all_finite(self.data):
             raise FloatingPointError(f"non-finite values in op '{_op or 'leaf'}'")
         self.grad = None
         self._prev = tuple(_prev)
@@ -202,18 +199,15 @@ def _attach(out: Tensor, bw) -> Tensor:
     return out
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def constant(x) -> Tensor:
-    return _lift(x)
+    """x as a leaf of the graph; a Tensor is returned unchanged."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 # -- arithmetic ---------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = Tensor(a.data + b.data, (a, b), "add")
 
     def bw():
@@ -224,7 +218,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = Tensor(a.data - b.data, (a, b), "sub")
 
     def bw():
@@ -235,7 +229,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     out = Tensor(a.data * b.data, (a, b), "mul")
 
     def bw():
@@ -246,7 +240,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(a.data / b.data, (a, b), "div")  # finite guard raises on /0
 
@@ -259,7 +253,7 @@ def div(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product, batched over leading dims (numpy semantics, ndim >= 2)."""
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul requires ndim >= 2, got {a.shape} @ {b.shape}")
     out = Tensor(np.matmul(a.data, b.data), (a, b), "matmul")
@@ -286,7 +280,7 @@ def conv2d_3x3(x, w) -> Tensor:
 
     x: (B, Cin, H, W); w: (Cout, Cin, 3, 3) -> (B, Cout, H, W).
     """
-    x, w = _lift(x), _lift(w)
+    x, w = constant(x), constant(w)
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
         raise ValueError(f"conv2d_3x3: bad shapes x={x.shape}, w={w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -310,7 +304,7 @@ def conv2d_3x3(x, w) -> Tensor:
 # -- elementwise nonlinearities -----------------------------------------------
 
 def relu(x) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.maximum(x.data, 0.0), (x,), "relu")
 
     def bw():
@@ -321,7 +315,7 @@ def relu(x) -> Tensor:
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
     # gradient at exactly 0 takes the negative-slope branch
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data), (x,), "leaky_relu")
 
     def bw():
@@ -331,7 +325,7 @@ def leaky_relu(x, slope: float = 0.1) -> Tensor:
 
 
 def exp(x) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.exp(x.data), (x,), "exp")
 
     def bw():
@@ -341,7 +335,7 @@ def exp(x) -> Tensor:
 
 
 def sin(x) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.sin(x.data), (x,), "sin")
 
     def bw():
@@ -351,7 +345,7 @@ def sin(x) -> Tensor:
 
 
 def cos(x) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.cos(x.data), (x,), "cos")
 
     def bw():
@@ -361,7 +355,7 @@ def cos(x) -> Tensor:
 
 
 def sqrt(x) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.sqrt(x.data), (x,), "sqrt")
 
     def bw():
@@ -371,7 +365,7 @@ def sqrt(x) -> Tensor:
 
 
 def power(x, p: float) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(x.data**p, (x,), "power")
 
     def bw():
@@ -382,7 +376,7 @@ def power(x, p: float) -> Tensor:
 
 def abs_(x) -> Tensor:
     # subgradient 0 at the kink
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.abs(x.data), (x,), "abs")
 
     def bw():
@@ -393,7 +387,7 @@ def abs_(x) -> Tensor:
 
 def clamp(x, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is zero outside the closed interval."""
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(np.clip(x.data, lo, hi), (x,), "clamp")
 
     def bw():
@@ -414,7 +408,7 @@ def _norm_axes(axes, ndim):
 
 
 def sum_(x, axes=None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     axes = _norm_axes(axes, x.ndim)
     out = Tensor(x.data.sum(axis=axes, keepdims=keepdims), (x,), "sum")
 
@@ -428,7 +422,7 @@ def sum_(x, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(x, axes=None, keepdims: bool = False) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     axes = _norm_axes(axes, x.ndim)
     count = float(np.prod([x.data.shape[a] for a in axes])) if axes else 1.0
     if count == 0:
@@ -447,7 +441,7 @@ def mean(x, axes=None, keepdims: bool = False) -> Tensor:
 # -- structure ----------------------------------------------------------------
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
+    tensors = [constant(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: empty input list")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
@@ -467,7 +461,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def slice_(x, idx) -> Tensor:
     """Indexing (basic or advanced); backward scatters into the source
     positions, summing over positions an advanced index repeats."""
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(x.data[idx], (x,), "slice")
 
     def bw():
@@ -479,7 +473,7 @@ def slice_(x, idx) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(x.data.reshape(shape), (x,), "reshape")
 
     def bw():
@@ -489,7 +483,7 @@ def reshape(x, shape) -> Tensor:
 
 
 def transpose(x, axes) -> Tensor:
-    x = _lift(x)
+    x = constant(x)
     axes = tuple(axes)
     out = Tensor(x.data.transpose(axes), (x,), "transpose")
     inverse = tuple(np.argsort(axes))
@@ -503,7 +497,7 @@ def transpose(x, axes) -> Tensor:
 def pixel_unshuffle(x, factor: int) -> Tensor:
     """Autodiff wrapper over the space-to-channel rearrangement; the backward
     pass is the inverse rearrangement."""
-    x = _lift(x)
+    x = constant(x)
     out = Tensor(nd.pixel_unshuffle(x.data, factor), (x,), "pixel_unshuffle")
 
     def bw():
@@ -518,7 +512,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     """One node whose forward and backward do, operation for operation, the
     arithmetic of the composite exp(x - max) / sum(exp(x - max)), so results
     match it bit for bit (the closed form y * (g - sum(g * y)) would not)."""
-    x = _lift(x)
+    x = constant(x)
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))  # the shift cancels in the ratio
     s = e.sum(axis=axis, keepdims=True)
     out = Tensor(e / s, (x,), "softmax")
@@ -534,20 +528,23 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 # composites of the primitive ops, so their backward passes need no separate derivation
 
-def layer_norm(x, axis=-1, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+L2_NORMALIZE_EPS = 1e-12  # inside the root, so the backward stays finite at the origin
+
+
+def layer_norm(x, axis=-1) -> Tensor:
     """Normalize to zero mean, unit variance over an axis or a tuple of axes
     (no affine part)."""
-    x = _lift(x)
+    x = constant(x)
     mu = mean(x, axes=axis, keepdims=True)
     d = x - mu
     var = mean(d * d, axes=axis, keepdims=True)
-    return d / sqrt(var + eps)
+    return d / sqrt(var + LAYER_NORM_EPS)
 
 
-def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    # eps inside the root keeps the backward finite at the origin
-    x = _lift(x)
-    n = sqrt(sum_(x * x, axes=axis, keepdims=True) + eps)
+def l2_normalize(x, axis: int = -1) -> Tensor:
+    x = constant(x)
+    n = sqrt(sum_(x * x, axes=axis, keepdims=True) + L2_NORMALIZE_EPS)
     return x / n
 
 

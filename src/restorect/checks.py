@@ -249,7 +249,7 @@ def fd_decomposition():
 def fd_velocity():
     def case(seed):
         rng = nd.Rng(seed)
-        net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, cond_dim=8)
+        net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
         x = ad.Param(rng.normal((2, 8)), "x")
         c = ad.Param(rng.normal((2, 8)), "c")
         probe = ad.constant(rng.normal((2, 8)))
@@ -363,7 +363,7 @@ def fd_loss_col():
 def fd_loss_vel():
     def case(seed):
         rng = nd.Rng(seed)
-        net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, cond_dim=6)
+        net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
         z = ad.constant(rng.normal((3, 6)))
         f_t = ad.constant(rng.normal((3, 6)))
         c = ad.constant(rng.normal((3, 6)))
@@ -393,13 +393,12 @@ def fd_loss_flex():
         rng = nd.Rng(seed)
         stud = ad.Param(rng.normal((1, 2, 4, 4)), "stud")
         teach = ad.constant(rng.normal((1, 2, 4, 4)))
-        cfg = fx.FlexConfig()
-        mu, sigma = fx.student_channel_stats(stud, cfg.eps)
+        mu, sigma = fx.student_channel_stats(stud)
         mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
         inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
-        mask = ad.constant(fx.outlier_mask((stud - mu_c) * inv, cfg.percentile))
-        den = float(mask.data.sum()) + cfg.eps
-        w_res = fx.resolution_weight(4, 4, cfg)
+        mask = ad.constant(fx.outlier_mask((stud - mu_c) * inv, fx.PERCENTILE))
+        den = float(mask.data.sum()) + fx.EPS
+        w_res = fx.resolution_weight(4, 4)
 
         def f():
             d = (teach - mu_c) * inv - (stud - mu_c) * inv
@@ -561,13 +560,10 @@ def inv_hvi_dark():
 @check("inv_flex_worked_example")
 def inv_flex_example():
     stud = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-    cfg = fx.FlexConfig()
-    tb = fx.FeatureBundle().add("l", ad.constant(10.0 * stud))
-    sb = fx.FeatureBundle().add("l", ad.constant(stud))
-    got = fx.flex_loss(tb, sb, 0, cfg).item()
-    sigma = math.sqrt(1.25) + cfg.eps
+    got = fx.flex_loss({"l": ad.constant(10.0 * stud)}, {"l": ad.constant(stud)}, 0, 4).item()
+    sigma = math.sqrt(1.25) + fx.EPS
     num = sum((9.0 * s / sigma) ** 2 for s in (1.0, 2.0, 3.0, 4.0))
-    expected = (4096.0 / 4.0) ** 0.25 * num / (4.0 + cfg.eps)
+    expected = (4096.0 / 4.0) ** 0.25 * num / (4.0 + fx.EPS)
     return bool(abs(got - expected) < 1e-9), f"{got:.6f} vs {expected:.6f}"
 
 
@@ -575,9 +571,7 @@ def inv_flex_example():
 def inv_flex_gate():
     rng = nd.Rng(13)
     stud = ad.Param(rng.normal((1, 2, 3, 3)), "stud")
-    tb = fx.FeatureBundle().add("l", ad.constant(rng.normal((1, 2, 3, 3))))
-    sb = fx.FeatureBundle().add("l", stud)
-    loss = fx.flex_loss(tb, sb, 2, fx.FlexConfig())
+    loss = fx.flex_loss({"l": ad.constant(rng.normal((1, 2, 3, 3)))}, {"l": stud}, 2, 4)
     loss.backward()
     zero_grad = stud.grad is None or not np.any(stud.grad)
     return bool(loss.item() == 0.0 and zero_grad), "t/t_max = 0.5 closes the gate"

@@ -218,7 +218,10 @@ def main(argv=None) -> int:
         "demo-diffusion": cmd_demo_diffusion,
     }
     try:
-        return handlers[args.command](args)
+        # the finite guards raise on what overflows; numpy's own warnings
+        # would only add stderr lines to the one-line failure message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (dh.TrainingDiverged, FloatingPointError, np.linalg.LinAlgError,
             ValueError, KeyError, FileNotFoundError) as exc:
         print(f"restorect {args.command}: {exc}", file=sys.stderr)

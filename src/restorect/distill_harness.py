@@ -31,9 +31,9 @@ from .autodiff import Param, Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when training stops being finite: a phase loss (its diagnostic
-    record is appended to the metrics stream first) or an Adam second moment
-    (the message names the param; no record is appended)."""
+    """Raised when an Adam second moment stops being finite; the message names
+    the param. A non-finite op result raises FloatingPointError at the op,
+    and so does a non-finite probe metric, naming the metric."""
 
 
 @dataclass
@@ -129,11 +129,11 @@ class Adam:
     is no longer finite (a non-finite gradient entry, or g*g overflowing)
     raises TrainingDiverged naming the param."""
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -156,8 +156,7 @@ class Adam:
             v += (1.0 - self.b2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.apply_bounds()
-            # the finite guard of Tensor.__init__: a finite sum implies finite entries
-            if not math.isfinite(v.sum()) and not np.all(np.isfinite(v)):
+            if not nd.all_finite(v):
                 raise TrainingDiverged(f"adam: second moment of {k} is not finite at step {self.t}")
 
 
@@ -335,7 +334,7 @@ class StudentNet:
         return out
 
     def forward(self, lq: Tensor, ipr: Tensor, collect: dict = None) -> Tensor:
-        lq = ad._lift(lq)
+        lq = ad.constant(lq)
         h = ad.conv2d_3x3(lq, self.stem_w) + ad.reshape(self.stem_b, (1, -1, 1, 1))
         h = self.block.forward(h, ipr, collect=collect)
         out = ad.conv2d_3x3(h, self.head_w) + ad.reshape(self.head_b, (1, -1, 1, 1))
@@ -344,17 +343,29 @@ class StudentNet:
 
 # -- phase 1: velocity training ------------------------------------------------------
 
+# Probe metrics are plain numpy on net outputs, outside the op guard: each is
+# checked here, so a non-finite value never reaches a metrics file.
+
+def _mse(metric: str, a: np.ndarray, b: np.ndarray) -> float:
+    return nd.require_finite(float(((a - b) ** 2).mean()), metric)
+
+
+def _frechet(metric: str, sampled: np.ndarray, mu_ref: np.ndarray, cov_ref: np.ndarray) -> float:
+    """Gaussian Frechet distance between a sample cloud (N, D) and reference
+    moments. The covariance is checked before the eigensolver sees it."""
+    cov = nd.require_finite(np.cov(sampled, rowvar=False), metric)
+    fd = nd.gaussian_frechet_distance(sampled.mean(axis=0), cov, mu_ref, cov_ref)
+    return nd.require_finite(fd, metric)
+
+
 def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: int) -> float:
     """Frechet distance between Euler-sampled and teacher image features on a
     fixed probe set (fixed z), using the full t_max-step sampler."""
     n = probe_z.shape[0]
     with ad.no_grad():
         x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], t_max)
-    sampled = x.data
     ref = feats.f_img[:n]
-    mu1, cov1 = sampled.mean(axis=0), np.cov(sampled, rowvar=False)
-    mu2, cov2 = ref.mean(axis=0), np.cov(ref, rowvar=False)
-    return nd.gaussian_frechet_distance(mu1, cov1, mu2, cov2)
+    return _frechet("phase1 frechet", x.data, ref.mean(axis=0), np.cov(ref, rowvar=False))
 
 
 def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> float:
@@ -364,25 +375,23 @@ def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> floa
         with ad.no_grad():
             x, _ = rf.euler_sample(nets[key], z, c[idx], t_max)
         total += float(((x.data - f[idx]) ** 2).mean())
-    return total / 2.0
+    return nd.require_finite(total / 2.0, "phase1 feature_mse")
 
 
-def train_phase1(exp: Experiment, record_sink: list = None):
+def train_phase1(exp: Experiment):
     """Train the two velocity predictors against frozen teacher features.
 
     Per iteration the loss is
         L_vel(rex) + L_vel(img)
         + lambda_kd  * (mse-to-teacher of the 4-step sampled endpoint, both streams)
         + lambda_traj * (trajectory consistency, both streams),
-    with one Adam optimizer per predictor. Aborts via TrainingDiverged on a
-    non-finite loss after appending a diagnostic record.
+    with one Adam optimizer per predictor.
     """
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = len(exp.data)
     nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"), config.feature_dim,
-                                      cond_dim=config.feature_dim, t_max=config.t_max,
-                                      prefix=f"vel_{key}")
+                                      t_max=config.t_max, prefix=f"vel_{key}")
             for key in ("rex", "img")}
     opts = {
         "rex": Adam(nets["rex"].params(), config.lr_rex),
@@ -390,7 +399,7 @@ def train_phase1(exp: Experiment, record_sink: list = None):
     }
     loop = rng.derive("phase1-loop")
     probe_z = rng.derive("phase1-probe").normal((min(128, n), config.feature_dim))
-    records = record_sink if record_sink is not None else []
+    records = []
     start = time.perf_counter()
 
     for it in range(config.phase1_iters):
@@ -417,11 +426,6 @@ def train_phase1(exp: Experiment, record_sink: list = None):
             comps["traj"] += l_traj.item()
             total = total + l_vel + config.lambda_kd * l_kd + config.lambda_traj * l_traj
         comps["total"] = total.item()
-
-        if not math.isfinite(comps["total"]):
-            records.append(MetricsRecord(it, comps, float("nan"), float("nan"),
-                                         config.t_max, time.perf_counter() - start))
-            raise TrainingDiverged(f"phase1: non-finite loss at iteration {it}")
 
         for opt in opts.values():
             opt.zero_grad()
@@ -461,8 +465,7 @@ def _sample_state_at(net, z: np.ndarray, c: np.ndarray, t_idx: int, t_max: int) 
     return traj[t_idx - 1].data
 
 
-def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
-                 record_sink: list = None):
+def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     """Train the student against frozen velocity predictors.
 
     Each iteration draws a timestep index uniformly from {0..t_max}; the
@@ -486,8 +489,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
                               prefix="teacher_side", cond_dim=config.feature_dim)
     opt = Adam(student.params(), config.lr_phase2)
     loop = rng.derive("phase2-loop")
-    flex_cfg = fx.FlexConfig(t_max=config.t_max)
-    records = record_sink if record_sink is not None else []
+    records = []
     gate_hits = 0
 
     hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim)) if holdout else None
@@ -500,7 +502,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
                                config.t_max, config.t_max)
         with ad.no_grad():
             pred = student.forward(lq, ipr)
-        return float(np.abs(pred.data - gt).mean())
+        return nd.require_finite(float(np.abs(pred.data - gt).mean()), "phase2 holdout_l1")
 
     initial_holdout = holdout_metric()
     start = time.perf_counter()
@@ -516,18 +518,12 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
         pred = student.forward(ad.constant(lq), ad.constant(ipr_state), collect=acts)
         l_rec = ad.mean(ad.abs_(pred - ad.constant(gt)))
 
-        gate_open = t_idx / config.t_max < flex_cfg.snr_threshold
-        if gate_open:
+        if fx.gate_open(t_idx, config.t_max):
             gate_hits += 1
             t_acts = {}
             with ad.no_grad():
                 teacher_side.forward(ad.constant(lq), ad.constant(feats.f_rex[idx]), collect=t_acts)
-            stud_bundle = fx.FeatureBundle()
-            teach_bundle = fx.FeatureBundle()
-            for layer in ("attn_res", "block_out"):
-                stud_bundle.add(layer, acts[layer])
-                teach_bundle.add(layer, t_acts[layer])
-            l_flex = fx.flex_loss(teach_bundle, stud_bundle, t_idx, flex_cfg)
+            l_flex = fx.flex_loss(t_acts, acts, t_idx, config.t_max)
         else:
             l_flex = ad.constant(0.0)
 
@@ -545,11 +541,6 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
                  "vel_rex": l_vel["rex"].item(), "vel_img": l_vel["img"].item(),
                  "holdout_l1": float("nan"), "gate_frac": gate_hits / (it + 1)}
 
-        if not math.isfinite(comps["total"]):
-            records.append(MetricsRecord(it, comps, float("nan"), float("nan"),
-                                         config.t_max, time.perf_counter() - start))
-            raise TrainingDiverged(f"phase2: non-finite loss at iteration {it}")
-
         opt.zero_grad()
         total.backward()
         opt.step()
@@ -557,7 +548,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None,
         if it % config.log_interval == 0 or it == config.phase2_iters - 1:
             comps = dict(comps)
             comps["holdout_l1"] = holdout_metric()
-            fmse = float(((ipr_state - feats.f_rex[idx]) ** 2).mean())
+            fmse = _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx])
             records.append(MetricsRecord(it, comps, fmse, float("nan"),
                                          config.t_max, time.perf_counter() - start))
 
@@ -588,8 +579,8 @@ def train_ddim_baseline(exp: Experiment):
     n = len(exp.data)
     T = config.ddim_train_steps
     alpha_bars = rf.cosine_alpha_bars(T, max_beta=config.ddim_max_beta)
-    net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim,
-                               cond_dim=config.feature_dim, t_max=T - 1, prefix="ddim")
+    net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim, t_max=T - 1,
+                               prefix="ddim")
     opt = Adam(net.params(), config.lr_img)
     loop = rng.derive("ddim-loop")
 
@@ -604,8 +595,6 @@ def train_ddim_baseline(exp: Experiment):
         pred = net.forward(ad.constant(x_t), t, ad.constant(c))
         d = pred - ad.constant(eps)
         loss = ad.mean(ad.sum_(d * d, axes=1))
-        if not math.isfinite(loss.item()):
-            raise TrainingDiverged(f"ddim baseline: non-finite loss at iteration {it}")
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -652,10 +641,9 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
                 else:
                     x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps, ddim_net.alpha_bars)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            sampled = x.data
-            fd = nd.gaussian_frechet_distance(sampled.mean(axis=0),
-                                              np.cov(sampled, rowvar=False), mu_ref, cov_ref)
-            mse = float(((sampled - evals.f_img) ** 2).mean())
+            label = f"compare-samplers {name} steps={steps}"
+            fd = _frechet(f"{label} frechet", x.data, mu_ref, cov_ref)
+            mse = _mse(f"{label} mse", x.data, evals.f_img)
             rows.append(SamplerRow(name, steps, fd, mse, wall_ms))
 
     if out_csv:
@@ -685,8 +673,8 @@ def load_phase1(config: ExperimentConfig, outdir) -> dict:
     """The velocity predictors `save_phase1` wrote under outdir, marked trained."""
     nets = {}
     for key in ("rex", "img"):
-        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, cond_dim=config.feature_dim,
-                                   t_max=config.t_max, prefix=f"vel_{key}")
+        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, t_max=config.t_max,
+                                   prefix=f"vel_{key}")
         nn.restore_params(net.params(), nn.load_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}")))
         net.trained = True
         nets[key] = net

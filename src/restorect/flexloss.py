@@ -12,7 +12,6 @@ threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,69 +19,41 @@ from . import autodiff as ad
 from . import ndtensor as nd
 from .autodiff import Tensor
 
-
-@dataclass
-class FlexConfig:
-    percentile: float = 0.95
-    base_res: tuple = (64, 64)
-    weight_floor: float = 0.1
-    exponent: float = 0.25
-    eps: float = 1e-6
-    snr_threshold: float = 0.4
-    t_max: int = 4
-
-    def __post_init__(self):
-        if not (0.0 < self.percentile <= 1.0):
-            raise ValueError(f"FlexConfig: percentile must lie in (0,1], got {self.percentile}")
-        if self.weight_floor <= 0.0:
-            raise ValueError(f"FlexConfig: weight_floor must be positive, got {self.weight_floor}")
+PERCENTILE = 0.95  # outlier mask: per-channel nearest-rank percentile of |student|
+BASE_RES = (64, 64)  # resolution weight max((64*64 / (H*W))^0.25, 0.1)
+EXPONENT = 0.25
+WEIGHT_FLOOR = 0.1
+EPS = 1e-6  # added to the student std and to the mask count
+SNR_THRESHOLD = 0.4  # the loss is gated off once t / t_max reaches it
 
 
-@dataclass
-class FeatureLayer:
-    name: str
-    features: Tensor  # (B, C, H, W)
-    weight: float = 1.0
-
-
-@dataclass
-class FeatureBundle:
-    layers: list = field(default_factory=list)
-
-    def add(self, name: str, features, weight: float = 1.0) -> "FeatureBundle":
-        self.layers.append(FeatureLayer(name, ad._lift(features), weight))
-        return self
-
-
-def _check_aligned(teach: FeatureBundle, stud: FeatureBundle) -> None:
-    if len(teach.layers) != len(stud.layers):
-        raise ValueError("flex: bundles have different layer counts")
-    for lt, ls in zip(teach.layers, stud.layers):
-        if lt.name != ls.name:
-            raise ValueError(f"flex: layer names misaligned ({lt.name} vs {ls.name})")
-        if lt.features.shape != ls.features.shape:
+def _check_aligned(teach: dict, stud: dict) -> None:
+    if list(teach) != list(stud):
+        raise ValueError(f"flex: layer names misaligned ({list(teach)} vs {list(stud)})")
+    for name in teach:
+        if teach[name].shape != stud[name].shape:
             raise ValueError(
-                f"flex: layer '{lt.name}' shape mismatch {lt.features.shape} vs {ls.features.shape}"
+                f"flex: layer '{name}' shape mismatch {teach[name].shape} vs {stud[name].shape}"
             )
 
 
-def student_channel_stats(stud: Tensor, eps: float):
-    """Per-channel population mean and (std + eps) over (B,H,W), detached."""
+def student_channel_stats(stud: Tensor):
+    """Per-channel population mean and (std + EPS) over (B,H,W), detached."""
     mu, std = nd.mean_std(stud.data, axes=(0, 2, 3))
-    return mu, std + eps
+    return mu, std + EPS
 
 
-def cross_normalize(teach: Tensor, stud: Tensor, eps: float = 1e-6):
+def cross_normalize(teach: Tensor, stud: Tensor):
     """Shift and scale both feature maps by the student's per-channel
     statistics. Returns (teach_n, stud_n, mu, sigma); mu/sigma are plain
     arrays and enter the graph as constants.
     """
-    teach, stud = ad._lift(teach), ad._lift(stud)
+    teach, stud = ad.constant(teach), ad.constant(stud)
     if teach.shape != stud.shape:
         raise ValueError(f"cross_normalize: shape mismatch {teach.shape} vs {stud.shape}")
     if teach.ndim != 4:
         raise ValueError(f"cross_normalize: expected (B,C,H,W), got {teach.shape}")
-    mu, sigma = student_channel_stats(stud, eps)
+    mu, sigma = student_channel_stats(stud)
     mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
     inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
     return (teach - mu_c) * inv, (stud - mu_c) * inv, mu, sigma
@@ -102,32 +73,37 @@ def outlier_mask(stud_n: Tensor, p: float) -> np.ndarray:
     return (a <= tau.reshape(1, c, 1, 1)).astype(np.float64)
 
 
-def resolution_weight(h: int, w: int, config: FlexConfig = None) -> float:
+def resolution_weight(h: int, w: int) -> float:
     """max((H_base*W_base / (H*W))^0.25, 0.1); down-weights high-resolution
     layers so no scale dominates."""
-    config = config or FlexConfig()
     if h <= 0 or w <= 0:
         raise ValueError(f"resolution_weight: dims must be positive, got {h}x{w}")
-    hb, wb = config.base_res
-    return max((hb * wb / (h * w)) ** config.exponent, config.weight_floor)
+    hb, wb = BASE_RES
+    return max((hb * wb / (h * w)) ** EXPONENT, WEIGHT_FLOOR)
 
 
-def flex_loss(teach: FeatureBundle, stud: FeatureBundle, t: int,
-              config: FlexConfig = None) -> Tensor:
-    """Sum over layers of w_layer * w_res * masked mean squared normalized
-    difference. Returns a constant zero (no gradient) when the SNR gate is
-    closed, i.e. when t / t_max >= snr_threshold."""
-    config = config or FlexConfig()
+def gate_open(t: int, t_max: int) -> bool:
+    """The SNR gate: the loss applies while t / t_max is below SNR_THRESHOLD."""
+    return t / t_max < SNR_THRESHOLD
+
+
+def flex_loss(teach: dict, stud: dict, t: int, t_max: int) -> Tensor:
+    """Sum over layers of w_res * masked mean squared normalized difference.
+
+    `teach` and `stud` map layer names to (B,C,H,W) features, with the same
+    names in the same order (as `ToyTransformerBlock.forward(collect=)` fills
+    them). Returns a constant zero (no gradient) when the SNR gate is closed.
+    """
     _check_aligned(teach, stud)
-    if t / config.t_max >= config.snr_threshold:
+    if not gate_open(t, t_max):
         return ad.constant(0.0)
     total = ad.constant(0.0)
-    for lt, ls in zip(teach.layers, stud.layers):
-        teach_n, stud_n, _, _ = cross_normalize(lt.features, ls.features, config.eps)
-        mask = ad.constant(outlier_mask(stud_n, config.percentile))
+    for name in teach:
+        teach_n, stud_n, _, _ = cross_normalize(teach[name], stud[name])
+        mask = ad.constant(outlier_mask(stud_n, PERCENTILE))
         d = teach_n - stud_n
         num = ad.sum_(mask * d * d)
-        den = float(mask.data.sum()) + config.eps
-        _, _, h, w = lt.features.shape
-        total = total + (lt.weight * resolution_weight(h, w, config)) * (num / den)
+        den = float(mask.data.sum()) + EPS
+        _, _, h, w = teach[name].shape
+        total = total + resolution_weight(h, w) * (num / den)
     return total

@@ -20,15 +20,14 @@ from . import autodiff as ad
 from .autodiff import Param, Tensor
 
 K_BOUNDS = (0.1, 5.0)
+COLLAPSE_EPS = 1e-8  # added to the collapse factor C_k
 
 
 @dataclass
 class HviParams:
-    """Learnable chroma density k (clamped to [0.1, 5.0] after every update)
-    and the small constant added to the collapse factor."""
+    """Learnable chroma density k, clamped to [0.1, 5.0] after every update."""
 
     k: Param = None
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.k is None:
@@ -66,7 +65,7 @@ def rgb_to_hsv_components(rgb: Tensor):
     pixel is achromatic) are taken from the raw values and treated as
     constants, so gradients flow along the selected branch only.
     """
-    rgb = ad._lift(rgb)
+    rgb = ad.constant(rgb)
     _validate_rgb(rgb, "rgb_to_hsv_components")
     r, g, b = rgb[:, 0:1], rgb[:, 1:2], rgb[:, 2:3]
 
@@ -105,12 +104,12 @@ def rgb_to_hsv_components(rgb: Tensor):
 def to_polarized_hvi(rgb: Tensor, params: HviParams) -> HviImage:
     """Map rgb to (H_polar, V_polar, I_polar).
 
-    C_k = k*sin(pi*I_max/2) + eps collapses chroma toward 0 in dark regions;
+    C_k = k*sin(pi*I_max/2) + COLLAPSE_EPS collapses chroma toward 0 in dark regions;
     H_polar = C_k*S*cos(pi*H/3), V_polar = C_k*S*sin(pi*H/3), I_polar = I_max.
     Differentiable w.r.t. both the rgb input and k.
     """
     h, s, i_max = rgb_to_hsv_components(rgb)
-    c_k = params.k * ad.sin(i_max * (math.pi / 2.0)) + params.eps
+    c_k = params.k * ad.sin(i_max * (math.pi / 2.0)) + COLLAPSE_EPS
     angle = h * (math.pi / 3.0)
     chroma = c_k * s
     return HviImage(chroma * ad.cos(angle), chroma * ad.sin(angle), i_max)
@@ -118,7 +117,7 @@ def to_polarized_hvi(rgb: Tensor, params: HviParams) -> HviImage:
 
 def polarized_color_loss(pred: Tensor, gt: Tensor, params: HviParams) -> Tensor:
     """Mean L1 per plane, summed over the three polarized planes."""
-    pred, gt = ad._lift(pred), ad._lift(gt)
+    pred, gt = ad.constant(pred), ad.constant(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"polarized_color_loss: shape mismatch {pred.shape} vs {gt.shape}")
     hvi_p = to_polarized_hvi(pred, params)

@@ -23,8 +23,18 @@ def as_tensor(data) -> np.ndarray:
     return x
 
 
-def require_finite(x: np.ndarray, context: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of the array is finite. A finite sum implies finite
+    entries, so one reduction settles the common case; a finite array whose
+    sum overflows falls through to the full scan and passes. (numpy warns
+    when the sum overflows or meets inf and -inf together.)"""
+    return math.isfinite(x.sum()) or bool(np.all(np.isfinite(x)))
+
+
+def require_finite(x, context: str = "tensor"):
+    """x unchanged; FloatingPointError naming `context` unless every entry
+    of x (an array or a scalar) is finite."""
+    if not all_finite(np.asarray(x)):
         raise FloatingPointError(f"{context}: non-finite values encountered")
     return x
 

@@ -29,7 +29,6 @@ FFN_EXPANSION = 2.66
 @dataclass
 class SclnParams:
     gamma: Param  # per-channel scale, length C
-    eps: float = 1e-5
 
     @staticmethod
     def create(channels: int, name: str = "scln.gamma") -> "SclnParams":
@@ -39,13 +38,13 @@ class SclnParams:
 def scln(x: Tensor, params: SclnParams) -> Tensor:
     """Normalize each sample by its global mean/variance over (C,H,W), then
     scale per channel by gamma."""
-    x = ad._lift(x)
+    x = ad.constant(x)
     if x.ndim != 4:
         raise ValueError(f"scln: expected (B,C,H,W), got {x.shape}")
     c = x.shape[1]
     if params.gamma.data.shape != (c,):
         raise ValueError(f"scln: gamma has length {params.gamma.data.shape}, input has C={c}")
-    return ad.layer_norm(x, axis=(1, 2, 3), eps=params.eps) * ad.reshape(params.gamma, (1, c, 1, 1))
+    return ad.layer_norm(x, axis=(1, 2, 3)) * ad.reshape(params.gamma, (1, c, 1, 1))
 
 
 # -- QK-normalized retinex attention --------------------------------------------
@@ -113,8 +112,8 @@ def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
     """Attention over spatial tokens with LayerNorm followed by L2
     normalization on Q and K, so every pre-softmax logit is bounded by
     |tau| / sqrt(d_k)."""
-    x = ad._lift(x)
-    ipr = ad._lift(ipr)
+    x = ad.constant(x)
+    ipr = ad.constant(ipr)
     if x.ndim != 4 or x.shape[1] != params.channels:
         raise ValueError(f"attention: expected (B,{params.channels},H,W), got {x.shape}")
     if ipr.ndim != 2 or ipr.shape[1] != params.cond_dim or ipr.shape[0] != x.shape[0]:
@@ -234,7 +233,7 @@ class DecompositionNet:
 def decompose(image: Tensor, net: DecompositionNet):
     """Split an rgb image into non-negative reflectance (B,3,H,W) and
     illumination (B,1,H,W)."""
-    image = ad._lift(image)
+    image = ad.constant(image)
     if image.ndim != 4 or image.shape[1] != 3:
         raise ValueError(f"decompose: expected (B,3,H,W), got {image.shape}")
     if image.data.min() < 0.0 or image.data.max() > 1.0:
@@ -262,7 +261,7 @@ class FeatureExtractor:
         self.layer_count = 3
 
     def features(self, x: Tensor) -> list:
-        x = ad._lift(x)
+        x = ad.constant(x)
         if x.ndim != 4:
             raise ValueError(f"feature extractor: expected (B,C,H,W), got {x.shape}")
         if x.shape[2] % 4 != 0 or x.shape[3] % 4 != 0:
@@ -273,27 +272,12 @@ class FeatureExtractor:
         return [f1, f2, f3]
 
 
-def _paired_features(pred: Tensor, gt: Tensor, extractor, layer_weights):
-    fp = extractor.features(pred)
-    fg = extractor.features(gt)
-    if len(fp) != len(fg):
-        raise ValueError("feature extractor returned mismatched layer counts")
-    if layer_weights is None:
-        layer_weights = [1.0] * len(fp)
-    if len(layer_weights) != len(fp):
-        raise ValueError(
-            f"expected {len(fp)} layer weights, got {len(layer_weights)}"
-        )
-    return fp, fg, layer_weights
-
-
-def perceptual_loss(pred: Tensor, gt: Tensor, extractor, layer_weights=None) -> Tensor:
-    """Sum over layers of weighted mean squared feature differences."""
-    fp, fg, lw = _paired_features(pred, gt, extractor, layer_weights)
+def perceptual_loss(pred: Tensor, gt: Tensor, extractor) -> Tensor:
+    """Sum over layers of mean squared feature differences."""
     loss = ad.constant(0.0)
-    for w, a, b in zip(lw, fp, fg):
+    for a, b in zip(extractor.features(pred), extractor.features(gt)):
         d = a - b
-        loss = loss + w * ad.mean(d * d)
+        loss = loss + ad.mean(d * d)
     return loss
 
 
@@ -305,14 +289,13 @@ def gram_matrix(features: Tensor) -> Tensor:
     return ad.matmul(flat, ad.transpose(flat, (0, 2, 1))) * (1.0 / (c * h * w))
 
 
-def style_loss(pred: Tensor, gt: Tensor, extractor, layer_weights=None) -> Tensor:
+def style_loss(pred: Tensor, gt: Tensor, extractor) -> Tensor:
     """Sum over layers of squared Frobenius distance between Gram matrices,
     averaged over the batch."""
-    fp, fg, lw = _paired_features(pred, gt, extractor, layer_weights)
     loss = ad.constant(0.0)
-    for w, a, b in zip(lw, fp, fg):
+    for a, b in zip(extractor.features(pred), extractor.features(gt)):
         d = gram_matrix(a) - gram_matrix(b)
-        loss = loss + w * ad.mean(ad.sum_(d * d, axes=(1, 2)))
+        loss = loss + ad.mean(ad.sum_(d * d, axes=(1, 2)))
     return loss
 
 
@@ -323,18 +306,17 @@ class VelocityPredictor:
     five residual blocks (Linear 256->256 + LeakyReLU + skip), linear head.
 
     Inputs are assembled as [c; t_norm; x_t] with t_norm = t / t_max and t an
-    integer timestep in [0, t_max].
+    integer timestep in [0, t_max]; the conditioning c is as wide as x_t
+    (feature_dim, 256 above).
     """
 
     N_BLOCKS = 5
 
-    def __init__(self, rng: nd.Rng, feature_dim: int = 256, cond_dim: int = 256,
-                 t_max: int = 4, prefix: str = "vel"):
+    def __init__(self, rng: nd.Rng, feature_dim: int = 256, t_max: int = 4, prefix: str = "vel"):
         self.feature_dim = feature_dim
-        self.cond_dim = cond_dim
         self.t_max = t_max
         self.trained = False
-        in_dim = cond_dim + 1 + feature_dim
+        in_dim = 2 * feature_dim + 1
 
         def lin(shape, fan_in, tag, scale=1.0):
             return Param(rng.normal(shape) * (scale * math.sqrt(2.0 / fan_in)), f"{prefix}.{tag}")
@@ -361,11 +343,11 @@ class VelocityPredictor:
         return out
 
     def forward(self, x_t: Tensor, t, c: Tensor) -> Tensor:
-        x_t, c = ad._lift(x_t), ad._lift(c)
+        x_t, c = ad.constant(x_t), ad.constant(c)
         if x_t.ndim != 2 or x_t.shape[1] != self.feature_dim:
             raise ValueError(f"velocity predictor: x_t must be (B,{self.feature_dim}), got {x_t.shape}")
-        if c.shape != (x_t.shape[0], self.cond_dim):
-            raise ValueError(f"velocity predictor: c must be (B,{self.cond_dim}), got {c.shape}")
+        if c.shape != x_t.shape:
+            raise ValueError(f"velocity predictor: c must be (B,{self.feature_dim}), got {c.shape}")
         t_arr = np.asarray(t, dtype=np.float64).reshape(-1)
         if t_arr.size == 1:
             t_arr = np.full(x_t.shape[0], t_arr[0])
@@ -396,7 +378,7 @@ def teacher_objective(pred: Tensor, gt: Tensor, r_pred: Tensor, l_pred: Tensor,
     """
     from . import aniso_diffusion, hvi_color
 
-    pred, gt = ad._lift(pred), ad._lift(gt)
+    pred, gt = ad.constant(pred), ad.constant(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"teacher_objective: pred/gt shape mismatch {pred.shape} vs {gt.shape}")
     components = {

@@ -29,7 +29,7 @@ def _sampler_steps(steps) -> int:
 
 
 def _as_batch(x) -> Tensor:
-    x = ad._lift(x)
+    x = ad.constant(x)
     return ad.reshape(x, (1, -1)) if x.ndim == 1 else x
 
 
@@ -39,7 +39,7 @@ def interpolate(z, f_teach, t) -> Tensor:
     t = np.asarray(t, dtype=np.float64)
     if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"interpolate: t must lie in [0,1], got {t}")
-    z, f_teach = ad._lift(z), ad._lift(f_teach)
+    z, f_teach = ad.constant(z), ad.constant(f_teach)
     if z.shape != f_teach.shape:
         raise ValueError(f"interpolate: shape mismatch {z.shape} vs {f_teach.shape}")
     if t.ndim and t.shape != (z.shape[0], 1):
@@ -50,7 +50,7 @@ def interpolate(z, f_teach, t) -> Tensor:
 
 def velocity_target(z, f_teach) -> Tensor:
     """Constant velocity of the straight path: f - z, independent of t."""
-    z, f_teach = ad._lift(z), ad._lift(f_teach)
+    z, f_teach = ad.constant(z), ad.constant(f_teach)
     if z.shape != f_teach.shape:
         raise ValueError(f"velocity_target: shape mismatch {z.shape} vs {f_teach.shape}")
     return f_teach - z
@@ -99,7 +99,7 @@ def euler_sample(net, z, c, steps: int):
     return x, trajectory
 
 
-def trajectory_consistency_loss(trajectory, f_teach, coeffs=None) -> Tensor:
+def trajectory_consistency_loss(trajectory, f_teach) -> Tensor:
     """0.1 * sum ||x^{i+1}-x^i||^2 + 0.5 * ||x^final - f||^2
     + 0.2 * sum (1 - cos(x^i, f)), batch-averaged.
 
@@ -107,7 +107,6 @@ def trajectory_consistency_loss(trajectory, f_teach, coeffs=None) -> Tensor:
     """
     if len(trajectory) == 0:
         raise ValueError("trajectory_consistency_loss: empty trajectory")
-    coeffs = coeffs or TRAJ_COEFFS
     states = [_as_batch(s) for s in trajectory]
     f = _as_batch(f_teach)
 
@@ -124,20 +123,21 @@ def trajectory_consistency_loss(trajectory, f_teach, coeffs=None) -> Tensor:
     for s in states:
         cos_sim = ad.sum_(s * f, axes=1) / (ad.sqrt(sq_norm(s) + eps) * f_norm)
         cons = cons + (1.0 - cos_sim)
-    total = coeffs["trans"] * ad.mean(trans) + coeffs["target"] * ad.mean(target) \
-        + coeffs["cons"] * ad.mean(cons)
-    return total
+    return TRAJ_COEFFS["trans"] * ad.mean(trans) + TRAJ_COEFFS["target"] * ad.mean(target) \
+        + TRAJ_COEFFS["cons"] * ad.mean(cons)
 
 
 # -- DDIM baseline ---------------------------------------------------------------
 
-def cosine_alpha_bars(T: int = 50, s: float = 0.008, max_beta: float = 0.999) -> np.ndarray:
+COSINE_OFFSET = 0.008  # the schedule's small offset s
+
+
+def cosine_alpha_bars(T: int = 50, max_beta: float = 0.999) -> np.ndarray:
     """Cumulative signal levels for the squared-cosine noise schedule, with
     per-step betas clipped to max_beta so alpha_bar stays strictly positive."""
     def f(u):
-        return math.cos((u + s) / (1.0 + s) * math.pi / 2.0) ** 2
+        return math.cos((u + COSINE_OFFSET) / (1.0 + COSINE_OFFSET) * math.pi / 2.0) ** 2
 
-    f0 = f(0.0)
     betas = np.empty(T)
     for t in range(T):
         betas[t] = min(1.0 - f((t + 1) / T) / f(t / T), max_beta)

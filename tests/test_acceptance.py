@@ -17,7 +17,7 @@ from restorect import ndtensor as nd
 from restorect import nn_blocks as nn
 from restorect import rectflow as rf
 
-from test_flexloss import bruteforce_flex, heavy_tailed_pair
+from test_flexloss import CFG, bruteforce_flex, heavy_tailed_pair
 
 
 def report(n, msg):
@@ -68,26 +68,26 @@ def test_criterion_02_hvi_continuity():
 
 
 def test_criterion_03_flex_exactness():
-    cfg = fx.FlexConfig()
+    cfg = CFG
     stud = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
     teach = 10.0 * stud
-    tb = fx.FeatureBundle().add("l", ad.constant(teach))
-    sb = fx.FeatureBundle().add("l", ad.constant(stud))
-    got = fx.flex_loss(tb, sb, 0, cfg).item()
+    tb = {"l": ad.constant(teach)}
+    sb = {"l": ad.constant(stud)}
+    got = fx.flex_loss(tb, sb, 0, cfg.t_max).item()
     oracle = bruteforce_flex([(1.0, teach)], [(1.0, stud)], 0, cfg)
     assert abs(got - oracle) < 1e-9, f"{got} vs oracle {oracle}"
 
-    same = fx.FeatureBundle().add("l", ad.constant(stud.copy()))
-    assert fx.flex_loss(same, sb, 0, cfg).item() == 0.0
+    same = {"l": ad.constant(stud.copy())}
+    assert fx.flex_loss(same, sb, 0, cfg.t_max).item() == 0.0
 
     for t in (2, 3, 4):  # t / t_max >= 0.4 closes the gate
-        assert fx.flex_loss(tb, sb, t, cfg).item() == 0.0
+        assert fx.flex_loss(tb, sb, t, cfg.t_max).item() == 0.0
     report(3, f"worked example = {got:.6f} (oracle match within 1e-9); "
               f"identical bundles -> 0; gate at t/t_max >= 0.4 -> exactly 0")
 
 
 def test_criterion_04_flex_robustness():
-    cfg = fx.FlexConfig()
+    cfg = CFG
     # claim 1: teacher scale x1000 in the heavy-tailed mismatch regime
     rng = nd.Rng(8)
     teach, stud_vals = heavy_tailed_pair(rng)
@@ -99,9 +99,9 @@ def test_criterion_04_flex_robustness():
         return np.linalg.norm(stud.grad)
 
     def flex_for(scale):
-        tb = fx.FeatureBundle().add("l", ad.constant(scale * teach))
-        sb = fx.FeatureBundle().add("l", stud)
-        return lambda: fx.flex_loss(tb, sb, 0, cfg)
+        tb = {"l": ad.constant(scale * teach)}
+        sb = {"l": stud}
+        return lambda: fx.flex_loss(tb, sb, 0, cfg.t_max)
 
     def mse_for(scale):
         t = ad.constant(scale * teach)
@@ -117,17 +117,17 @@ def test_criterion_04_flex_robustness():
     b, c, h, w = 2, 16, 10, 10
     stud2 = rng.normal((b, c, h, w))
     teach2 = stud2 + 0.3 * rng.normal((b, c, h, w))
-    tb, sb = fx.FeatureBundle().add("l", ad.constant(teach2)), \
-        fx.FeatureBundle().add("l", ad.constant(stud2))
-    clean = fx.flex_loss(tb, sb, 0, cfg).item()
+    tb, sb = {"l": ad.constant(teach2)}, \
+        {"l": ad.constant(stud2)}
+    clean = fx.flex_loss(tb, sb, 0, cfg.t_max).item()
     corrupted = stud2.copy()
     n = b * h * w
     hit = np.zeros(n, dtype=bool)
     hit[nd.Rng(100).permutation(n)[:int(0.04 * n)]] = True
     corrupted[:, 3][hit.reshape(b, h, w)] = 1e6
-    tb2 = fx.FeatureBundle().add("l", ad.constant(teach2))
-    sb2 = fx.FeatureBundle().add("l", ad.constant(corrupted))
-    spiked = fx.flex_loss(tb2, sb2, 0, cfg).item()
+    tb2 = {"l": ad.constant(teach2)}
+    sb2 = {"l": ad.constant(corrupted)}
+    spiked = fx.flex_loss(tb2, sb2, 0, cfg.t_max).item()
     change = abs(spiked - clean) / clean
     assert change < 0.10, f"corruption changed loss by {change:.3f}"
     report(4, f"teacher x1000: flex grad x{flex_ratio:.2f} (<10) vs mse x{mse_ratio:.1f} "

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,23 @@ def test_op_level_floating_point_error_exits_1_without_traceback(tmp_path, capsy
     assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("restorect distill: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("lr", [1e2, 1e4])
+def test_diverging_run_prints_one_stderr_line_in_a_fresh_process(tmp_path, lr):
+    """Outside pytest nothing captures numpy's RuntimeWarnings, so only a
+    fresh interpreter shows what a user sees on stderr."""
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=lr, lr_img=lr)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "restorect.cli", "distill", "--config", config,
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("restorect distill: "), proc.stderr
 
 
 def test_train_phase2_without_checkpoints_fails(tmp_path, capsys):

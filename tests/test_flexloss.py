@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from restorect import flexloss as fx
 from restorect import ndtensor as nd
 
 
-def bruteforce_flex(teach_layers, stud_layers, t, cfg: fx.FlexConfig):
+# the loss's constants under the names the reference below reads, plus t_max
+CFG = SimpleNamespace(percentile=fx.PERCENTILE, base_res=fx.BASE_RES, exponent=fx.EXPONENT,
+                      weight_floor=fx.WEIGHT_FLOOR, eps=fx.EPS, snr_threshold=fx.SNR_THRESHOLD,
+                      t_max=4)
+
+
+def bruteforce_flex(teach_layers, stud_layers, t, cfg):
     """Loop-based reference implementation of the whole loss."""
     if t / cfg.t_max >= cfg.snr_threshold:
         return 0.0
@@ -51,7 +58,7 @@ def test_student_channel_stats_are_bit_equal_to_the_numpy_formula():
     d = nd.Rng(30).normal((3, 5, 4, 6)) * 2.0 + 0.7
     mu_ref = d.mean(axis=(0, 2, 3))
     sigma_ref = np.sqrt(((d - mu_ref.reshape(1, -1, 1, 1)) ** 2).mean(axis=(0, 2, 3))) + 1e-6
-    mu, sigma = fx.student_channel_stats(ad.constant(d), 1e-6)
+    mu, sigma = fx.student_channel_stats(ad.constant(d))
     assert mu.tobytes() == mu_ref.tobytes()
     assert sigma.tobytes() == sigma_ref.tobytes()
 
@@ -145,27 +152,24 @@ def test_resolution_weight_zero_dims_error():
 
 # -- flex loss ---------------------------------------------------------------------------
 
-def make_bundles(teach_arrays, stud_arrays, weights=None):
-    tb, sb = fx.FeatureBundle(), fx.FeatureBundle()
-    for i, (t, s) in enumerate(zip(teach_arrays, stud_arrays)):
-        w = 1.0 if weights is None else weights[i]
-        tb.add(f"layer{i}", ad.constant(t), w)
-        sb.add(f"layer{i}", ad.constant(s), w)
+def make_bundles(teach_arrays, stud_arrays):
+    tb = {f"layer{i}": ad.constant(t) for i, t in enumerate(teach_arrays)}
+    sb = {f"layer{i}": ad.constant(s) for i, s in enumerate(stud_arrays)}
     return tb, sb
 
 
 def test_flex_identical_bundles_zero():
     x = nd.Rng(4).normal((2, 3, 4, 4))
     tb, sb = make_bundles([x], [x.copy()])
-    assert fx.flex_loss(tb, sb, 0, fx.FlexConfig()).item() == 0.0
+    assert fx.flex_loss(tb, sb, 0, CFG.t_max).item() == 0.0
 
 
 def test_flex_worked_example_matches_bruteforce():
     stud = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
     teach = 10.0 * stud
-    cfg = fx.FlexConfig()
+    cfg = CFG
     tb, sb = make_bundles([teach], [stud])
-    got = fx.flex_loss(tb, sb, 0, cfg).item()
+    got = fx.flex_loss(tb, sb, 0, cfg.t_max).item()
     expected = bruteforce_flex([(1.0, teach)], [(1.0, stud)], 0, cfg)
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(2749.23, abs=0.01)
@@ -173,40 +177,40 @@ def test_flex_worked_example_matches_bruteforce():
 
 def test_flex_matches_bruteforce_random():
     rng = nd.Rng(5)
-    cfg = fx.FlexConfig()
+    cfg = CFG
     teach = [rng.normal((2, 3, 4, 4)), rng.normal((2, 2, 8, 8)) * 3.0]
     stud = [rng.normal((2, 3, 4, 4)), rng.normal((2, 2, 8, 8))]
-    tb, sb = make_bundles(teach, stud, weights=[1.0, 0.7])
-    got = fx.flex_loss(tb, sb, 1, cfg).item()
-    expected = bruteforce_flex([(1.0, teach[0]), (0.7, teach[1])],
-                               [(1.0, stud[0]), (0.7, stud[1])], 1, cfg)
+    tb, sb = make_bundles(teach, stud)
+    got = fx.flex_loss(tb, sb, 1, cfg.t_max).item()
+    expected = bruteforce_flex([(1.0, teach[0]), (1.0, teach[1])],
+                               [(1.0, stud[0]), (1.0, stud[1])], 1, cfg)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_flex_gate_closed_is_exact_zero_with_zero_gradient():
     rng = nd.Rng(6)
     stud_param = ad.Param(rng.normal((1, 2, 3, 3)), "stud")
-    tb = fx.FeatureBundle().add("l", ad.constant(rng.normal((1, 2, 3, 3))))
-    cfg = fx.FlexConfig()
+    tb = {"l": ad.constant(rng.normal((1, 2, 3, 3)))}
+    cfg = CFG
     # t/t_max = 2/4 = 0.5 >= 0.4 closes the gate
-    sb = fx.FeatureBundle().add("l", stud_param)
-    loss = fx.flex_loss(tb, sb, 2, cfg)
+    sb = {"l": stud_param}
+    loss = fx.flex_loss(tb, sb, 2, cfg.t_max)
     assert loss.item() == 0.0
     loss.backward()
     assert stud_param.grad is None or np.all(stud_param.grad == 0.0)
     # boundary: t_idx/t_max just below the threshold stays active
-    assert fx.flex_loss(tb, sb, 1, cfg).item() > 0.0
+    assert fx.flex_loss(tb, sb, 1, cfg.t_max).item() > 0.0
 
 
 def test_flex_misaligned_bundles_error():
     rng = nd.Rng(7)
-    tb = fx.FeatureBundle().add("a", ad.constant(rng.normal((1, 2, 3, 3))))
-    sb = fx.FeatureBundle().add("b", ad.constant(rng.normal((1, 2, 3, 3))))
+    tb = {"a": ad.constant(rng.normal((1, 2, 3, 3)))}
+    sb = {"b": ad.constant(rng.normal((1, 2, 3, 3)))}
     with pytest.raises(ValueError):
-        fx.flex_loss(tb, sb, 0, fx.FlexConfig())
-    sb2 = fx.FeatureBundle().add("a", ad.constant(rng.normal((1, 2, 4, 4))))
+        fx.flex_loss(tb, sb, 0, CFG.t_max)
+    sb2 = {"a": ad.constant(rng.normal((1, 2, 4, 4)))}
     with pytest.raises(ValueError):
-        fx.flex_loss(tb, sb2, 0, fx.FlexConfig())
+        fx.flex_loss(tb, sb2, 0, CFG.t_max)
 
 
 # -- robustness claims ----------------------------------------------------------------------
@@ -245,12 +249,12 @@ def test_claim_teacher_scale_gradient_boundedness():
     rng = nd.Rng(8)
     teach, stud_vals = heavy_tailed_pair(rng)
     stud = ad.Param(stud_vals, "stud")
-    cfg = fx.FlexConfig()
+    cfg = CFG
 
     def flex_loss_for(scale):
-        tb = fx.FeatureBundle().add("l", ad.constant(scale * teach))
-        sb = fx.FeatureBundle().add("l", stud)
-        return lambda: fx.flex_loss(tb, sb, 0, cfg)
+        tb = {"l": ad.constant(scale * teach)}
+        sb = {"l": stud}
+        return lambda: fx.flex_loss(tb, sb, 0, cfg.t_max)
 
     def mse_loss_for(scale):
         t = ad.constant(scale * teach)
@@ -274,12 +278,12 @@ def test_claim_scale_boundedness_generic_features():
     rng = nd.Rng(18)
     stud = ad.Param(rng.normal((2, 3, 8, 8)), "stud")
     teach = rng.normal((2, 3, 8, 8))
-    cfg = fx.FlexConfig()
+    cfg = CFG
 
     def flex_grad(scale):
-        tb = fx.FeatureBundle().add("l", ad.constant(scale * teach))
-        sb = fx.FeatureBundle().add("l", stud)
-        return np.linalg.norm(_grad_wrt_student(lambda: fx.flex_loss(tb, sb, 0, cfg), stud))
+        tb = {"l": ad.constant(scale * teach)}
+        sb = {"l": stud}
+        return np.linalg.norm(_grad_wrt_student(lambda: fx.flex_loss(tb, sb, 0, cfg.t_max), stud))
 
     g1, g1k = flex_grad(1.0), flex_grad(1000.0)
     assert np.isfinite(g1k)
@@ -294,9 +298,9 @@ def test_claim_corruption_robustness():
     b, c, h, w = 2, 16, 10, 10
     stud = rng.normal((b, c, h, w))
     teach = stud + 0.3 * rng.normal((b, c, h, w))
-    cfg = fx.FlexConfig()
+    cfg = CFG
     tb, sb = make_bundles([teach], [stud])
-    clean = fx.flex_loss(tb, sb, 0, cfg).item()
+    clean = fx.flex_loss(tb, sb, 0, cfg.t_max).item()
 
     corrupted = stud.copy()
     n = b * h * w
@@ -305,7 +309,7 @@ def test_claim_corruption_robustness():
     hit[nd.Rng(100).permutation(n)[:n_spikes]] = True
     corrupted[:, 3][hit.reshape(b, h, w)] = 1e6
     tb2, sb2 = make_bundles([teach], [corrupted])
-    spiked = fx.flex_loss(tb2, sb2, 0, cfg).item()
+    spiked = fx.flex_loss(tb2, sb2, 0, cfg.t_max).item()
     assert abs(spiked - clean) / clean < 0.10
 
     # the same corruption makes a plain MSE loss explode by orders of magnitude
@@ -318,13 +322,13 @@ def test_claim_resolution_balance():
     """With identical per-element error, the per-layer contribution is
     non-increasing in layer resolution."""
     rng = nd.Rng(10)
-    cfg = fx.FlexConfig()
+    cfg = CFG
     contributions = []
     for size in (4, 8, 16, 32):
         stud = rng.normal((1, 2, size, size))
         teach = stud + 0.5  # constant per-element error
         tb, sb = make_bundles([teach], [stud])
-        contributions.append(fx.flex_loss(tb, sb, 0, cfg).item())
+        contributions.append(fx.flex_loss(tb, sb, 0, cfg.t_max).item())
     assert all(a >= b - 1e-9 for a, b in zip(contributions, contributions[1:]))
 
 
@@ -335,14 +339,14 @@ def test_flex_gradient_fd_with_frozen_stats():
     rng = nd.Rng(11)
     stud = ad.Param(rng.normal((1, 2, 4, 4)), "stud")
     teach = ad.constant(rng.normal((1, 2, 4, 4)))
-    cfg = fx.FlexConfig()
-    mu, sigma = fx.student_channel_stats(stud, cfg.eps)
+    cfg = CFG
+    mu, sigma = fx.student_channel_stats(stud)
     mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
     inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
     sn0 = (stud - mu_c) * inv
     mask = ad.constant(fx.outlier_mask(sn0, cfg.percentile))
     den = float(mask.data.sum()) + cfg.eps
-    w_res = fx.resolution_weight(4, 4, cfg)
+    w_res = fx.resolution_weight(4, 4)
 
     def frozen_core():
         tn = (teach - mu_c) * inv
@@ -353,9 +357,3 @@ def test_flex_gradient_fd_with_frozen_stats():
     report = ad.fd_check(frozen_core, [stud], h=1e-5, tol=1e-4)
     assert report.passed, report.summary()
 
-
-def test_flex_config_validation():
-    with pytest.raises(ValueError):
-        fx.FlexConfig(percentile=0.0)
-    with pytest.raises(ValueError):
-        fx.FlexConfig(weight_floor=0.0)

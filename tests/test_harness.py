@@ -273,6 +273,66 @@ def test_compare_samplers_rejects_untrained(small_run):
         dh.compare_samplers(exp, nets["img"], fresh)
 
 
+# -- probe metrics ------------------------------------------------------------------------------
+
+class ConstantNet:
+    """Trained-looking stand-in for a velocity or noise net whose every output
+    entry is `value`. A finite 1e200 passes every op guard, but its square
+    does not fit in a float64."""
+
+    trained = True
+
+    def __init__(self, value, t_max=4):
+        self.value = value
+        self.t_max = t_max
+        self.alpha_bars = np.linspace(0.99, 0.5, t_max + 1)
+
+    def forward(self, x_t, t, c):
+        return ad.constant(np.full(x_t.shape, self.value))
+
+
+class ConstantStudent:
+    """Stand-in student with no params whose output is `value` everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def params(self):
+        return {}
+
+    def forward(self, lq, ipr, collect=None):
+        return ad.constant(np.full(np.shape(getattr(lq, "data", lq)), self.value))
+
+
+def _raises_naming(metric, fn):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=metric):
+        fn()
+
+
+def test_probe_metrics_raise_naming_the_metric_on_a_finite_but_huge_net_output():
+    exp = dh.Experiment(small_config())
+    nets = {"rex": ConstantNet(1e200), "img": ConstantNet(1e200)}
+    z = nd.Rng(0).normal((4, exp.config.feature_dim))
+    idx = np.arange(4)
+    _raises_naming("phase1 feature_mse",
+                   lambda: dh._feature_mse(nets, exp.feats, idx, z, z, exp.config.t_max))
+    _raises_naming("phase1 frechet",
+                   lambda: dh._frechet_probe(nets, exp.feats, z, exp.config.t_max))
+    _raises_naming("compare-samplers rf steps=1 frechet",
+                   lambda: dh.compare_samplers(exp, nets["img"], ConstantNet(1e200, t_max=49)))
+    _raises_naming("phase2 feature_mse",
+                   lambda: dh._mse("phase2 feature_mse", np.full(3, 1e200), np.zeros(3)))
+
+
+def test_phase2_holdout_l1_raises_naming_the_metric():
+    exp = dh.Experiment(small_config())
+    nets = {"rex": ConstantNet(0.0), "img": ConstantNet(0.0)}
+    # every |pred - gt| entry is finite, their sum is not
+    _raises_naming("phase2 holdout_l1",
+                   lambda: dh.train_phase2(exp, nets, student=ConstantStudent(1.5e308)))
+
+
 # -- metrics CSV ------------------------------------------------------------------------------------
 
 def test_metrics_csv_layout(tmp_path):

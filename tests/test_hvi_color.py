@@ -112,7 +112,7 @@ def test_chroma_magnitude_invariant():
         out = hvi.to_polarized_hvi(img, params)
         mag2 = out.h_polar.data**2 + out.v_polar.data**2
         k = params.k.data.item()
-        assert mag2.max() <= (k + params.eps) ** 2 + 1e-12
+        assert mag2.max() <= (k + hvi.COLLAPSE_EPS) ** 2 + 1e-12
         assert out.i_polar.data.min() >= 0.0 and out.i_polar.data.max() <= 1.0
 
 

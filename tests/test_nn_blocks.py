@@ -63,7 +63,7 @@ def test_scln_is_bit_equal_to_the_explicit_composite():
         mu = ad.mean(x, axes=(1, 2, 3), keepdims=True)
         d = x - mu
         var = ad.mean(d * d, axes=(1, 2, 3), keepdims=True)
-        y = d / ad.sqrt(var + params.eps)
+        y = d / ad.sqrt(var + ad.LAYER_NORM_EPS)
         return y * ad.reshape(params.gamma, (1, x.shape[1], 1, 1))
 
     for seed in range(3):
@@ -273,13 +273,6 @@ def test_style_loss_matches_componentwise_oracle():
     assert nn.style_loss(a, b, ext).item() == pytest.approx(expected, rel=1e-12)
 
 
-def test_perceptual_layer_weight_mismatch():
-    ext = nn.FeatureExtractor(nd.Rng(0))
-    img = ad.constant(np.zeros((1, 3, 8, 8)))
-    with pytest.raises(ValueError):
-        nn.perceptual_loss(img, img, ext, layer_weights=[1.0, 2.0])
-
-
 def test_perceptual_style_gradient_fd():
     rng = nd.Rng(13)
     ext = nn.FeatureExtractor(rng.derive("e"))
@@ -322,7 +315,7 @@ def test_velocity_timestep_range():
 
 def test_velocity_gradient_fd():
     rng = nd.Rng(19)
-    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, cond_dim=8)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
     x = ad.Param(rng.normal((2, 8)), "x")
     c = ad.Param(rng.normal((2, 8)), "c")
     probe = ad.constant(rng.normal((2, 8)))
@@ -395,7 +388,7 @@ def test_teacher_objective_component_scaling():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = nd.Rng(20)
-    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, cond_dim=8)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", params)
     originals = {k: p.data.copy() for k, p in params.items()}
@@ -407,14 +400,14 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_missing_param_error(tmp_path):
-    net = nn.VelocityPredictor(nd.Rng(21), feature_dim=8, cond_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(21), feature_dim=8)
     nn.save_checkpoint(tmp_path / "ckpt", {"only.one": net.w_in})
     with pytest.raises(KeyError):
         nn.restore_params(net.params(), nn.load_checkpoint(tmp_path / "ckpt"))
 
 
 def test_checkpoint_unknown_param_error(tmp_path):
-    net = nn.VelocityPredictor(nd.Rng(22), feature_dim=8, cond_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(22), feature_dim=8)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", {**params, "bogus.extra": ad.constant(np.zeros(3))})
     with pytest.raises(KeyError, match="bogus.extra"):

@@ -132,7 +132,7 @@ def test_velocity_loss_is_bit_equal_to_the_inline_composite():
         return ad.mean(ad.sum_(d * d, axes=1))
 
     rng = nd.Rng(21)
-    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, cond_dim=6)
+    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
     batch = tuple(ad.constant(rng.normal((4, 6))) for _ in range(3))
     results = []
     for fn in (rf.velocity_matching_loss, reference):
@@ -154,7 +154,7 @@ def test_velocity_loss_empty_batch_error():
 
 def test_velocity_loss_gradient_fd():
     rng = nd.Rng(4)
-    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, cond_dim=6)
+    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
     z = rng.normal((3, 6))
     f = rng.normal((3, 6))
     c = rng.normal((3, 6))
@@ -306,7 +306,7 @@ def test_ddim_endpoint_finite_for_random_nets():
     alpha_bars = rf.cosine_alpha_bars(50, max_beta=0.1)
     for seed in range(5):
         rng = nd.Rng(seed)
-        net = nn.VelocityPredictor(rng.derive("d"), feature_dim=6, cond_dim=6, t_max=49)
+        net = nn.VelocityPredictor(rng.derive("d"), feature_dim=6, t_max=49)
         out = rf.ddim_baseline_sample(net, ad.constant(rng.normal((2, 6))),
                                       ad.constant(rng.normal((2, 6))), 3, alpha_bars)
         assert np.all(np.isfinite(out.data))

@@ -13,7 +13,9 @@
 #   c/  the same in an empty directory (phase 1 retrained)
 #   d/  restorect check; d/check_detail.txt holds each check's name,
 #       pass flag and detail string, without the per-check milliseconds
-# and prints the sha256sum listing of every file under a/ b/ c/ d/ except
+#   e/  restorect demo-hvi and demo-diffusion (their CSVs), and the stdout
+#       of every demos/*.py script as e/<script>.txt
+# and prints the sha256sum listing of every file under a/ b/ c/ d/ e/ except
 # timing files and the raw check report, then one sha256 of that listing.
 # Each command's stdout goes to OUT/<step>.log, which is not listed (it
 # holds paths and wall times).
@@ -33,8 +35,8 @@ unset RESTORECT_SEED
 
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
-rm -rf "$out/a" "$out/b" "$out/c" "$out/d"
-mkdir -p "$out/a" "$out/b" "$out/c" "$out/d"
+rm -rf "$out/a" "$out/b" "$out/c" "$out/d" "$out/e"
+mkdir -p "$out/a" "$out/b" "$out/c" "$out/d" "$out/e"
 printf '%s\n' "$config_json" > "$out/config.json"
 
 run() {  # run LOG ARGS...: one restorect command, stdout to OUT/LOG.log
@@ -56,9 +58,15 @@ print(f"total={report['total']} passed={report['passed']}")
 for r in report["checks"]:
     print(f"{r['name']}\t{int(r['passed'])}\t{r['detail']}")
 EOF
+run demo_hvi demo-hvi --out "$out/e"
+run demo_diffusion demo-diffusion --out "$out/e"
+for demo in "$repo"/demos/*.py; do
+    name=$(basename "$demo" .py)
+    python "$demo" > "$out/e/$name.txt"
+done
 
 cd "$out"
-listing=$(find a b c d -type f ! -name '*timing*' ! -name 'check_report.json' | LC_ALL=C sort \
+listing=$(find a b c d e -type f ! -name '*timing*' ! -name 'check_report.json' | LC_ALL=C sort \
     | xargs sha256sum)
 printf '%s\n' "$listing"
 echo "files: $(printf '%s\n' "$listing" | wc -l)"
