@@ -15,10 +15,13 @@ a numpy copy of them.
 
 The op set is closed: everything the restoration networks and losses need
 compiles to the functions below, and each op carries a finite-difference
-test. `softmax` is one primitive op; `layer_norm` (over an axis or a tuple
-of axes) and `l2_normalize` are composites of the others. Elementwise ops
-broadcast with numpy semantics; gradients are summed back onto the original
-shapes.
+test. `softmax` is one primitive op whose arithmetic is bit-equal to its
+composite. `attention`, softmax(scale * q @ k^T) @ v, is one node: its
+forward is bit-equal to the matmul -> softmax -> matmul chain, and its
+backward is the closed form, equal to the chain's gradients to rounding.
+`layer_norm` (over an axis or a tuple of axes) and `l2_normalize` are
+composites of the others. Elementwise ops broadcast with numpy semantics;
+gradients are summed back onto the original shapes.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ class Tensor:
 
     def __init__(self, data, _prev=(), _op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
-        if not nd.all_finite(self.data):
-            raise FloatingPointError(f"non-finite values in op '{_op or 'leaf'}'")
         self.grad = None
         self._prev = tuple(_prev)
         self._backward = None
         self._op = _op
+        # last, so a traceback can still show the rejected node
+        if not nd.all_finite(self.data):
+            raise FloatingPointError(f"non-finite values in op '{_op or 'leaf'}'")
 
     # -- graph plumbing ------------------------------------------------------
 
@@ -524,6 +528,45 @@ def softmax(x, axis: int = -1) -> Tensor:
         x.accum_grad(ge * e)
 
     return _attach(out, bw)
+
+
+def attention(q, k, v, scale):
+    """softmax(scale * q @ k^T) @ v over the last two axes, as one node.
+
+    Returns the output node and the weights p = softmax(scale * q @ k^T)
+    as a read-only array. The forward runs the arithmetic of the
+    matmul -> mul -> softmax -> matmul composite in the same order, in place
+    on one buffer, so its results are bit-equal to the composite's. The
+    backward is the closed form dlogits = p * (g v^T - rowsum(g v^T * p)),
+    which keeps only p and one buffer of its shape; its gradients match the
+    composite's to rounding, not bit for bit. `scale` is a scalar."""
+    q, k, v, scale = constant(q), constant(k), constant(v), constant(scale)
+    if scale.data.size != 1:
+        raise ValueError(f"attention: scale must be a scalar, got shape {scale.shape}")
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= scale.data
+    p -= p.max(axis=-1, keepdims=True)  # the shift cancels in the ratio
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(p, v.data), (q, k, v, scale), "attention")
+
+    def bw():
+        g = out.grad
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        v.accum_grad(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.data.shape))
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p  # now the gradient of the scaled logits
+        dsk = np.matmul(ds, k.data)
+        scale.accum_grad(np.einsum("...ij,...ij->...", dsk, q.data).sum())
+        dsk *= scale.data
+        q.accum_grad(_unbroadcast(dsk, q.data.shape))
+        dk = np.matmul(np.swapaxes(ds, -1, -2), q.data)
+        dk *= scale.data
+        k.accum_grad(_unbroadcast(dk, k.data.shape))
+
+    weights = p.view()
+    weights.flags.writeable = False  # the backward reads p
+    return _attach(out, bw), weights
 
 
 # composites of the primitive ops, so their backward passes need no separate derivation

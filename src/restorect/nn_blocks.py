@@ -140,13 +140,12 @@ def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
     qn = ad.l2_normalize(ad.layer_norm(qh, axis=-1), axis=-1)
     kn = ad.l2_normalize(ad.layer_norm(kh, axis=-1), axis=-1)
 
-    logits = ad.matmul(qn, ad.transpose(kn, (0, 1, 3, 2))) * (params.tau * (1.0 / math.sqrt(d_k)))
-    attn = ad.softmax(logits, axis=-1)
-    ctx = ad.matmul(attn, vh)  # (B, heads, HW, d_k)
+    scale = params.tau * (1.0 / math.sqrt(d_k))
+    ctx, weights = ad.attention(qn, kn, vh, scale)  # ctx: (B, heads, HW, d_k)
     merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, h * w, c))
     out = _from_tokens(ad.matmul(merged, params.wo), h, w)
     if return_weights:
-        return out, attn.data
+        return out, weights
     return out
 
 

@@ -349,6 +349,71 @@ def test_fused_softmax_is_bit_equal_to_composite(axis):
         assert g_fused.tobytes() == g_ref.tobytes()
 
 
+# -- fused attention ----------------------------------------------------------------------
+
+def composite_attention(q, k, v, scale):
+    """The matmul -> mul -> softmax -> matmul chain the fused node replaces,
+    kept as the reference."""
+    logits = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale
+    return ad.matmul(ad.softmax(logits, axis=-1), v)
+
+
+def attention_case(seed, fn, shape=(2, 3, 7, 4)):
+    rng = nd.Rng(seed)
+    q, k, v = (ad.Param(rng.derive(n).normal(shape), n) for n in "qkv")
+    scale = ad.Param(rng.derive("s").uniform((), 0.5, 3.0), "scale")
+    probe = ad.constant(rng.derive("probe").normal(shape))
+    y = fn(q, k, v, scale)
+    ad.sum_(y * probe).backward()
+    return y.data, [p.grad for p in (q, k, v, scale)]
+
+
+def fused_attention_output(q, k, v, scale):
+    return ad.attention(q, k, v, scale)[0]
+
+
+@pytest.mark.parametrize("seed", [400, 401, 402])
+def test_fused_attention_matches_the_composite(seed):
+    y_fused, g_fused = attention_case(seed, fused_attention_output)
+    y_ref, g_ref = attention_case(seed, composite_attention)
+    assert y_fused.tobytes() == y_ref.tobytes()
+    for got, want in zip(g_fused, g_ref):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fused_attention_weights_are_the_softmax_and_read_only():
+    rng = nd.Rng(410)
+    q, k, v = (ad.constant(rng.derive(n).normal((1, 2, 5, 3))) for n in "qkv")
+    out, weights = ad.attention(q, k, v, 0.7)
+    expected = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * 0.7, axis=-1).data
+    assert weights.tobytes() == expected.tobytes()
+    assert not weights.flags.writeable
+    np.testing.assert_array_equal(out.data, ad.matmul(ad.constant(expected), v).data)
+
+
+def test_fused_attention_fd():
+    rng = nd.Rng(420)
+    q, k, v = (ad.Param(rng.derive(n).normal((1, 2, 4, 3)), n) for n in "qkv")
+    scale = ad.Param(1.3, "scale")
+    probe = ad.constant(rng.derive("probe").normal((1, 2, 4, 3)))
+    report = ad.fd_check(lambda: ad.sum_(ad.attention(q, k, v, scale)[0] * probe), [q, k, v, scale])
+    assert report.passed, report.summary()
+
+
+def test_fused_attention_keeps_no_inputs_under_no_grad():
+    q = rand_param(430, (1, 1, 4, 2))
+    with ad.no_grad():
+        out, _ = ad.attention(q, q, q, 2.0)
+    assert out._prev == ()
+    assert out._backward is None
+
+
+def test_fused_attention_rejects_a_non_scalar_scale():
+    q = ad.constant(np.ones((1, 1, 2, 2)))
+    with pytest.raises(ValueError):
+        ad.attention(q, q, q, np.ones(2))
+
+
 # -- finite guard -------------------------------------------------------------------------
 
 def test_finite_guard_accepts_finite_arrays_whose_sum_overflows():
@@ -361,3 +426,11 @@ def test_finite_guard_accepts_finite_arrays_whose_sum_overflows():
 def test_finite_guard_rejects_non_finite_entries(values):
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         ad.Tensor(np.array(values))
+
+
+def test_node_rejected_by_the_finite_guard_still_has_a_repr():
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError) as info:
+        ad.exp(ad.constant(np.array([1000.0])))
+    rejected = info.traceback[-1].frame.f_locals["self"]
+    assert repr(rejected) == "Tensor(shape=(1,), op=exp)"
+    assert rejected.grad is None and rejected._backward is None

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Byte-identity oracle for refactors that must not change any output.
 #
-# Usage: tools/byte_oracle.sh OUT [CONFIG]
+# Usage: tools/byte_oracle.sh OUT [CONFIG] [--against OTHER_OUT [--rtol R]]
 #
 # CONFIG is the JSON text of an experiment config (default '{}': the
 # default config, seed 42). Run it on two checkouts and compare the last
-# line (or the whole listing) of the two outputs. With BLAS on one thread,
-# under OUT it runs:
+# line (or the whole listing) of the two outputs. For a change that moves
+# low-order bits on purpose, run it on the parent into OTHER_OUT, then on
+# the change with --against OTHER_OUT: after the listing,
+# tools/oracle_compare.py compares OUT with OTHER_OUT at relative tolerance
+# R (default 1e-9), and its verdict sets the exit status. With BLAS on one
+# thread, under OUT it runs:
 #   a/  restorect distill
 #   b/  restorect train-phase1, then train-phase2
 #   a/  restorect compare-samplers --steps 1,2,3,4,5 (phase-1 checkpoints loaded)
@@ -21,12 +25,36 @@
 # holds paths and wall times).
 set -euo pipefail
 
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 OUT [CONFIG-JSON]" >&2
+usage() {
+    echo "usage: $0 OUT [CONFIG-JSON] [--against OTHER_OUT [--rtol R]]" >&2
     exit 2
+}
+out=
+config_json='{}'
+against=
+rtol=1e-9
+positional=0
+while [ $# -gt 0 ]; do
+    case $1 in
+        --against) [ $# -ge 2 ] || usage; against=$2; shift 2 ;;
+        --rtol) [ $# -ge 2 ] || usage; rtol=$2; shift 2 ;;
+        -*) usage ;;
+        *)
+            case $positional in
+                0) out=$1 ;;
+                1) config_json=$1 ;;
+                *) usage ;;
+            esac
+            positional=$((positional + 1))
+            shift
+            ;;
+    esac
+done
+[ -n "$out" ] || usage
+if [ -n "$against" ]; then
+    [ -d "$against" ] || { echo "$0: no directory $against" >&2; exit 2; }
+    against=$(cd "$against" && pwd)
 fi
-out=$1
-config_json=${2:-'{}'}
 repo=$(cd "$(dirname "$0")/.." && pwd)
 
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
@@ -71,3 +99,6 @@ listing=$(find a b c d e -type f ! -name '*timing*' ! -name 'check_report.json' 
 printf '%s\n' "$listing"
 echo "files: $(printf '%s\n' "$listing" | wc -l)"
 echo "digest: $(printf '%s\n' "$listing" | sha256sum | cut -d' ' -f1)"
+if [ -n "$against" ]; then
+    python "$repo/tools/oracle_compare.py" "$out" "$against" --rtol "$rtol"
+fi
