@@ -82,7 +82,7 @@ def cmd_check(args, names=None) -> int:
     label = "grad_check" if names is not None else "check"
     path = os.path.join(args.out, f"{label}_report.{ext}")
     t0 = time.perf_counter()
-    report = checks.run_all_checks(report_path=path, fmt=args.format, names=names)
+    report = checks.run_checks(names=names, report_path=path, fmt=args.format)
     status = "ok" if report["passed"] else f"FAILED ({len(report['failed'])})"
     print(f"{label}: {report['total']} checks, {status}, "
           f"{time.perf_counter() - t0:.1f}s, report {path}")
@@ -91,6 +91,7 @@ def cmd_check(args, names=None) -> int:
 
 def cmd_train_phase1(args) -> int:
     config = resolve_config(args)
+    dh.require_phase1_records(config)
     nets, records = dh.train_phase1(dh.Experiment(config))
     dh.save_phase1(args.out, nets, records)
     first, last = records[0], records[-1]

@@ -18,7 +18,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,17 +67,25 @@ class ExperimentConfig:
         for name in ("lr_rex", "lr_img", "lr_phase2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config: {name} must be positive")
-        if self.feature_dim <= 0 or self.batch_size <= 0:
-            raise ValueError("config: feature_dim and batch_size must be positive")
-        if not (1 <= self.t_max <= 5):
-            raise ValueError(f"config: t_max {self.t_max} outside [1,5]")
+        # the least value a run can use: the Frechet probes need two samples
+        for name, least in (("feature_dim", 1), ("batch_size", 1), ("dataset_size", 2),
+                            ("holdout_size", 0), ("log_interval", 1), ("image_size", 4),
+                            ("channels", 4), ("head_count", 1), ("compare_count", 2),
+                            ("ddim_train_steps", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"config: {name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+        # t_max bounds every sampler trajectory, so it shares the step rule
+        for name, steps in (("t_max", [self.t_max]), ("sampler_steps", self.sampler_steps)):
+            for s in steps:
+                try:
+                    rf._sampler_steps(s)
+                except ValueError as exc:
+                    raise ValueError(f"config: {name}: {exc}") from None
         if self.image_size % 4 != 0:
             raise ValueError("config: image_size must be divisible by 4")
         if self.channels % (4 * self.head_count) != 0:
             raise ValueError("config: channels must be divisible by 4*head_count")
-        for s in self.sampler_steps:
-            if not (1 <= int(s) <= 5):
-                raise ValueError(f"config: sampler step {s} outside [1,5]")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -91,12 +99,6 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"config: unknown keys {unknown}")
     return ExperimentConfig(**raw)
-
-
-def save_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass
@@ -689,9 +691,18 @@ def save_phase2(outdir, student: StudentNet, records: list) -> None:
 
 # -- full pipeline -------------------------------------------------------------------------
 
+def require_phase1_records(config: ExperimentConfig) -> None:
+    """`distill` and `restorect train-phase1` report the first and last
+    phase-1 records, so they need an iteration; `train_phase1` accepts 0."""
+    if config.phase1_iters < 1:
+        raise ValueError(f"config: phase1_iters must be at least 1 to report phase-1 "
+                         f"losses, got {config.phase1_iters}")
+
+
 def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
+    require_phase1_records(config)
     exp = Experiment(config)
     student = StudentNet(nd.Rng(config.seed).derive("student-init"),
                          config.channels, config.head_count, cond_dim=config.feature_dim)

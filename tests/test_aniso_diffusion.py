@@ -198,13 +198,6 @@ def test_illumination_edge_cheaper_than_ramp_per_energy():
     assert l_edge / raw_energy(edge) < l_ramp / raw_energy(ramp)
 
 
-def test_illumination_gradient_fd():
-    for seed in range(5):
-        x = ad.Param(nd.Rng(seed).uniform((1, 1, 4, 4), 0.1, 0.9), "L")
-        report = ad.fd_check(lambda: ani.illumination_smoothness_loss(x), [x], h=1e-5, tol=1e-4)
-        assert report.passed, report.summary()
-
-
 def test_sensitivity_clamp():
     p = ani.DiffusionParams()
     p.s.data[...] = 3.0

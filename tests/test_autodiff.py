@@ -153,12 +153,6 @@ def test_fd_conv2d():
         fd_ok(lambda: ad.mean(ad.conv2d_3x3(x, w) * ad.conv2d_3x3(x, w)), [x, w], max_entries=40)
 
 
-def test_fd_pixel_unshuffle():
-    for seed in range(5):
-        x = rand_param(seed, (1, 2, 4, 4), "x")
-        fd_ok(lambda: ad.mean(ad.pixel_unshuffle(x, 2) * ad.pixel_unshuffle(x, 2)), [x])
-
-
 # -- op semantics ---------------------------------------------------------------------
 
 def test_conv_impulse_reproduces_kernel():

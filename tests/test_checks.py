@@ -1,19 +1,30 @@
 import numpy as np
+import pytest
 
 from restorect import autodiff as ad
 from restorect import checks
 
 
-def test_all_checks_pass_on_clean_tree():
-    report = checks.run_all_checks()
-    assert report["passed"] is True
-    assert report["failed"] == []
+@pytest.fixture(scope="session")
+def registry_report():
+    """The session's one run of the registry, read by every test here that needs all of it."""
+    return checks.run_checks()
 
 
-def test_report_lists_one_entry_per_registered_check():
-    report = checks.run_all_checks()
-    assert report["total"] == len(checks.CHECKS)
-    names = [c["name"] for c in report["checks"]]
+@pytest.mark.parametrize("name", [name for name, _ in checks.CHECKS])
+def test_registered_check(registry_report, name):
+    (entry,) = [c for c in registry_report["checks"] if c["name"] == name]
+    assert entry["passed"], entry["detail"]
+
+
+def test_all_checks_pass_on_clean_tree(registry_report):
+    assert registry_report["passed"] is True
+    assert registry_report["failed"] == []
+
+
+def test_report_lists_one_entry_per_registered_check(registry_report):
+    assert registry_report["total"] == len(checks.CHECKS)
+    names = [c["name"] for c in registry_report["checks"]]
     assert names == [name for name, _ in checks.CHECKS]
 
 
@@ -31,10 +42,10 @@ def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "exp", broken_exp)
-    report = checks.run_all_checks(names=["fd_exp"])
+    report = checks.run_checks(names=["fd_exp"])
     assert report["failed"] == ["fd_exp"]
     monkeypatch.setattr(ad, "exp", real_exp)
-    assert checks.run_all_checks(names=["fd_exp"])["passed"]
+    assert checks.run_checks(names=["fd_exp"])["passed"]
 
 
 def test_gradient_subset_covers_ops_and_losses():
@@ -49,10 +60,10 @@ def test_gradient_subset_covers_ops_and_losses():
         assert required in names, f"missing gradient check {required}"
 
 
-def test_csv_report_format(tmp_path):
+def test_csv_report_format(registry_report, tmp_path):
     path = tmp_path / "report.csv"
-    report = checks.run_all_checks(report_path=path, fmt="csv", names=["fd_add"])
+    checks.write_report(registry_report, path, fmt="csv")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "name,passed,detail,ms"
-    assert len(lines) == 2
-    assert report["total"] == 1
+    assert len(lines) == 1 + registry_report["total"]
+    assert all(line.count(",") == 3 for line in lines)  # commas in details are escaped

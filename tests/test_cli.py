@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from restorect import cli
+from restorect import checks, cli
+from restorect import distill_harness as dh
 
 
 def small_config_file(tmp_path, **overrides):
@@ -60,17 +61,34 @@ def test_demo_diffusion_writes_response(tmp_path):
     assert header.startswith("x,input,response_")
 
 
-def test_grad_check_passes_and_writes_report(tmp_path):
+@pytest.fixture
+def small_registry(monkeypatch):
+    """Three stand-in checks, so the check commands run in milliseconds."""
+    monkeypatch.setattr(checks, "CHECKS", [
+        ("fd_stub", lambda: (True, "exact")),
+        ("inv_stub", lambda: (True, "exact")),
+        ("inv_broken", lambda: (False, "wrong on purpose")),
+    ])
+
+
+def test_check_exits_1_and_lists_the_failing_check(tmp_path, small_registry):
+    assert cli.main(["check", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["total"] == 3 and report["failed"] == ["inv_broken"]
+
+
+def test_grad_check_passes_and_writes_report(tmp_path, small_registry):
     assert cli.main(["grad-check", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "grad_check_report.json").read_text())
     assert report["passed"] is True
-    assert all(c["name"].startswith("fd_") for c in report["checks"])
+    assert [c["name"] for c in report["checks"]] == ["fd_stub"]
 
 
-def test_check_csv_format(tmp_path):
-    assert cli.main(["check", "--out", str(tmp_path), "--format", "csv"]) == 0
-    header = (tmp_path / "check_report.csv").read_text().splitlines()[0]
-    assert header == "name,passed,detail,ms"
+def test_check_csv_format(tmp_path, small_registry):
+    assert cli.main(["check", "--out", str(tmp_path), "--format", "csv"]) == 1
+    lines = (tmp_path / "check_report.csv").read_text().splitlines()
+    assert lines[0] == "name,passed,detail,ms"
+    assert len(lines) == 4
 
 
 def test_distill_then_compare_and_reproducibility(tmp_path, capsys, monkeypatch):
@@ -116,6 +134,20 @@ def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
         config = small_config_file(tmp_path, t_max=t_max)
         assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
         assert "t_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,bad", [("distill", {"holdout_size": -2}),
+                                         ("distill", {"phase1_iters": 0}),
+                                         ("train-phase1", {"phase1_iters": 0})])
+def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, command, bad):
+    # train_phase1 itself accepts 0 iterations; these commands report its first and last record
+    monkeypatch.setattr(dh, "train_phase1", lambda exp: pytest.fail("phase 1 ran"))
+    config = small_config_file(tmp_path, **bad)
+    assert cli.main([command, "--config", config, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    (field,) = bad
+    assert err.startswith(f"restorect {command}: ") and err.count("\n") == 1, err
+    assert field in err
 
 
 def test_diverging_adam_exits_1_naming_the_param(tmp_path, capsys):

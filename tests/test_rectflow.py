@@ -192,13 +192,6 @@ def test_euler_step_count_invariance_for_straight_field():
     assert np.abs(one - four).max() < 1e-12
 
 
-def test_euler_calls_net_exactly_steps_times():
-    for steps in (1, 3, 5):
-        net = ConstantVelocityNet(np.ones(4))
-        rf.euler_sample(net, ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 4))), steps)
-        assert net.calls == steps
-
-
 def test_euler_rejects_wrong_kind():
     # a step count that is not an integer is refused before the net is called
     net = ConstantVelocityNet(np.ones(4))
