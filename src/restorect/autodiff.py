@@ -5,13 +5,18 @@ holding its inputs and a backward closure, and `Tensor.backward()` walks the
 nodes in reverse topological order, so each node's inputs are visited after
 the node itself and one pass fills the gradient of every reachable leaf.
 
+`_node` is the one recording path. Each op computes its forward value and
+hands `_node` one gradient function per input; `_node` links only the inputs
+that need a gradient (a `Param`, or a node with a backward), calls only their
+gradient functions, and sums each gradient back onto its input's shape.
+Constant inputs (arrays, `constant(...)` leaves) get no gradient, and an op
+whose inputs are all constant returns a leaf.
+
 Graph lifetime is explicit. `backward()` drops each node's closure and input
 links once the closure has run, so a graph dies as soon as the pass ends
 instead of waiting for the cyclic collector (each closure refers to its own
 node). Inside `with no_grad():` ops record neither, so a forward that is only
-read builds no graph at all. Forwards that never need a gradient, such as
-the frozen teacher encoder, run these same ops that way rather than keeping
-a numpy copy of them.
+read builds no graph at all, even when it reads a `Param`.
 
 The op set is closed: everything the restoration networks and losses need
 compiles to the functions below, and each op carries a finite-difference
@@ -20,8 +25,7 @@ composite. `attention`, softmax(scale * q @ k^T) @ v, is one node: its
 forward is bit-equal to the matmul -> softmax -> matmul chain, and its
 backward is the closed form, equal to the chain's gradients to rounding.
 `layer_norm` (over an axis or a tuple of axes) and `l2_normalize` are
-composites of the others. Elementwise ops broadcast with numpy semantics;
-gradients are summed back onto the original shapes.
+composites of the others. Elementwise ops broadcast with numpy semantics.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Graph node: float64 value plus links to the inputs that produced it."""
+    """Graph node: float64 value plus links to the inputs that produced it
+    and need a gradient."""
 
     def __init__(self, data, _prev=(), _op: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
@@ -193,13 +198,30 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _attach(out: Tensor, bw) -> Tensor:
-    """Give an op's result its backward closure, or, under no_grad, drop its
-    input links so it is a leaf."""
-    if _grad_enabled:
-        out._backward = bw
-    else:
-        out._prev = ()
+def _node(op: str, data, inputs, *grads) -> Tensor:
+    """The one place a graph is recorded: the result `data` of `op` on
+    `inputs`, where grads[i](g) is the gradient for inputs[i] given the
+    result's gradient g.
+
+    Only inputs that need a gradient (a Param, or a node with a backward)
+    are linked, and only their gradient functions are ever called; each
+    gradient is summed back onto its input's shape and accumulated. Under
+    no_grad, or when no input needs a gradient, the result is a leaf."""
+    if not _grad_enabled:
+        return Tensor(data, (), op)
+    prev, prev_grads = [], []
+    for t, grad in zip(inputs, grads):
+        if t._backward is not None or isinstance(t, Param):
+            prev.append(t)
+            prev_grads.append(grad)
+    out = Tensor(data, prev, op)
+    if prev:
+        def backward():
+            g = out.grad
+            for t, grad in zip(prev, prev_grads):
+                t.accum_grad(_unbroadcast(grad(g), t.data.shape))
+
+        out._backward = backward
     return out
 
 
@@ -212,47 +234,25 @@ def constant(x) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data + b.data, (a, b), "add")
-
-    def bw():
-        a.accum_grad(_unbroadcast(out.grad, a.data.shape))
-        b.accum_grad(_unbroadcast(out.grad, b.data.shape))
-
-    return _attach(out, bw)
+    return _node("add", a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data - b.data, (a, b), "sub")
-
-    def bw():
-        a.accum_grad(_unbroadcast(out.grad, a.data.shape))
-        b.accum_grad(_unbroadcast(-out.grad, b.data.shape))
-
-    return _attach(out, bw)
+    return _node("sub", a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
-    out = Tensor(a.data * b.data, (a, b), "mul")
-
-    def bw():
-        a.accum_grad(_unbroadcast(out.grad * b.data, a.data.shape))
-        b.accum_grad(_unbroadcast(out.grad * a.data, b.data.shape))
-
-    return _attach(out, bw)
+    return _node("mul", a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data / b.data, (a, b), "div")  # finite guard raises on /0
-
-    def bw():
-        a.accum_grad(_unbroadcast(out.grad / b.data, a.data.shape))
-        b.accum_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    return _attach(out, bw)
+        quotient = a.data / b.data  # the finite guard raises on /0
+    return _node("div", quotient, (a, b), lambda g: g / b.data,
+                 lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a, b) -> Tensor:
@@ -260,15 +260,9 @@ def matmul(a, b) -> Tensor:
     a, b = constant(a), constant(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul requires ndim >= 2, got {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), (a, b), "matmul")
-
-    def bw():
-        ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-        a.accum_grad(_unbroadcast(ga, a.data.shape))
-        b.accum_grad(_unbroadcast(gb, b.data.shape))
-
-    return _attach(out, bw)
+    return _node("matmul", np.matmul(a.data, b.data), (a, b),
+                 lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                 lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
 
 
 # -- convolution --------------------------------------------------------------
@@ -290,115 +284,70 @@ def conv2d_3x3(x, w) -> Tensor:
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d_3x3: channel mismatch x={x.shape}, w={w.shape}")
     win = _windows3x3(x.data)
-    out = Tensor(np.einsum("bihwkl,oikl->bohw", win, w.data, optimize=True), (x, w), "conv2d_3x3")
 
-    def bw():
-        g = out.grad
-        w.accum_grad(np.einsum("bohw,bihwkl->oikl", g, win, optimize=True))
-        # dx: full correlation of the padded upstream grad with the flipped kernel
+    def dx(g):
+        # full correlation of the padded upstream grad with the flipped kernel
         gp = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
         gwin = np.lib.stride_tricks.sliding_window_view(gp, (3, 3), axis=(2, 3))
         wflip = w.data[:, :, ::-1, ::-1]
-        dxp = np.einsum("bohwkl,oikl->bihw", gwin, wflip, optimize=True)
-        x.accum_grad(dxp[:, :, 1:-1, 1:-1])
+        return np.einsum("bohwkl,oikl->bihw", gwin, wflip, optimize=True)[:, :, 1:-1, 1:-1]
 
-    return _attach(out, bw)
+    return _node("conv2d_3x3", np.einsum("bihwkl,oikl->bohw", win, w.data, optimize=True),
+                 (x, w), dx, lambda g: np.einsum("bohw,bihwkl->oikl", g, win, optimize=True))
 
 
 # -- elementwise nonlinearities -----------------------------------------------
 
 def relu(x) -> Tensor:
     x = constant(x)
-    out = Tensor(np.maximum(x.data, 0.0), (x,), "relu")
-
-    def bw():
-        x.accum_grad(out.grad * (x.data > 0.0))
-
-    return _attach(out, bw)
+    return _node("relu", np.maximum(x.data, 0.0), (x,), lambda g: g * (x.data > 0.0))
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
     # gradient at exactly 0 takes the negative-slope branch
     x = constant(x)
-    out = Tensor(np.where(x.data > 0.0, x.data, slope * x.data), (x,), "leaky_relu")
-
-    def bw():
-        x.accum_grad(out.grad * np.where(x.data > 0.0, 1.0, slope))
-
-    return _attach(out, bw)
+    return _node("leaky_relu", np.where(x.data > 0.0, x.data, slope * x.data), (x,),
+                 lambda g: g * np.where(x.data > 0.0, 1.0, slope))
 
 
 def exp(x) -> Tensor:
     x = constant(x)
-    out = Tensor(np.exp(x.data), (x,), "exp")
-
-    def bw():
-        x.accum_grad(out.grad * out.data)
-
-    return _attach(out, bw)
+    e = np.exp(x.data)
+    return _node("exp", e, (x,), lambda g: g * e)
 
 
 def sin(x) -> Tensor:
     x = constant(x)
-    out = Tensor(np.sin(x.data), (x,), "sin")
-
-    def bw():
-        x.accum_grad(out.grad * np.cos(x.data))
-
-    return _attach(out, bw)
+    return _node("sin", np.sin(x.data), (x,), lambda g: g * np.cos(x.data))
 
 
 def cos(x) -> Tensor:
     x = constant(x)
-    out = Tensor(np.cos(x.data), (x,), "cos")
-
-    def bw():
-        x.accum_grad(-out.grad * np.sin(x.data))
-
-    return _attach(out, bw)
+    return _node("cos", np.cos(x.data), (x,), lambda g: -g * np.sin(x.data))
 
 
 def sqrt(x) -> Tensor:
     x = constant(x)
-    out = Tensor(np.sqrt(x.data), (x,), "sqrt")
-
-    def bw():
-        x.accum_grad(out.grad * 0.5 / out.data)
-
-    return _attach(out, bw)
+    r = np.sqrt(x.data)
+    return _node("sqrt", r, (x,), lambda g: g * 0.5 / r)
 
 
 def power(x, p: float) -> Tensor:
     x = constant(x)
-    out = Tensor(x.data**p, (x,), "power")
-
-    def bw():
-        x.accum_grad(out.grad * p * x.data ** (p - 1.0))
-
-    return _attach(out, bw)
+    return _node("power", x.data**p, (x,), lambda g: g * p * x.data ** (p - 1.0))
 
 
 def abs_(x) -> Tensor:
     # subgradient 0 at the kink
     x = constant(x)
-    out = Tensor(np.abs(x.data), (x,), "abs")
-
-    def bw():
-        x.accum_grad(out.grad * np.sign(x.data))
-
-    return _attach(out, bw)
+    return _node("abs", np.abs(x.data), (x,), lambda g: g * np.sign(x.data))
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is zero outside the closed interval."""
     x = constant(x)
-    out = Tensor(np.clip(x.data, lo, hi), (x,), "clamp")
-
-    def bw():
-        inside = (x.data >= lo) & (x.data <= hi)
-        x.accum_grad(out.grad * inside)
-
-    return _attach(out, bw)
+    return _node("clamp", np.clip(x.data, lo, hi), (x,),
+                 lambda g: g * ((x.data >= lo) & (x.data <= hi)))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -414,15 +363,13 @@ def _norm_axes(axes, ndim):
 def sum_(x, axes=None, keepdims: bool = False) -> Tensor:
     x = constant(x)
     axes = _norm_axes(axes, x.ndim)
-    out = Tensor(x.data.sum(axis=axes, keepdims=keepdims), (x,), "sum")
 
-    def bw():
-        g = out.grad
+    def dx(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        x.accum_grad(np.broadcast_to(g, x.data.shape).copy())
+        return np.broadcast_to(g, x.data.shape).copy()
 
-    return _attach(out, bw)
+    return _node("sum", x.data.sum(axis=axes, keepdims=keepdims), (x,), dx)
 
 
 def mean(x, axes=None, keepdims: bool = False) -> Tensor:
@@ -431,15 +378,13 @@ def mean(x, axes=None, keepdims: bool = False) -> Tensor:
     count = float(np.prod([x.data.shape[a] for a in axes])) if axes else 1.0
     if count == 0:
         raise ValueError("mean: empty reduction axis")
-    out = Tensor(x.data.mean(axis=axes, keepdims=keepdims), (x,), "mean")
 
-    def bw():
-        g = out.grad
+    def dx(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        x.accum_grad(np.broadcast_to(g, x.data.shape) / count)
+        return np.broadcast_to(g, x.data.shape) / count
 
-    return _attach(out, bw)
+    return _node("mean", x.data.mean(axis=axes, keepdims=keepdims), (x,), dx)
 
 
 # -- structure ----------------------------------------------------------------
@@ -448,66 +393,47 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [constant(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: empty input list")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def bw():
-        start = 0
-        for t, s in zip(tensors, sizes):
-            sl = [slice(None)] * out.data.ndim
-            sl[axis] = slice(start, start + s)
-            t.accum_grad(out.grad[tuple(sl)])
-            start += s
-
-    return _attach(out, bw)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % data.ndim)
+    grads, start = [], 0
+    for t in tensors:
+        stop = start + t.data.shape[axis]
+        grads.append(lambda g, part=slice(start, stop): g[lead + (part,)])
+        start = stop
+    return _node("concat", data, tensors, *grads)
 
 
 def slice_(x, idx) -> Tensor:
     """Indexing (basic or advanced); backward scatters into the source
     positions, summing over positions an advanced index repeats."""
     x = constant(x)
-    out = Tensor(x.data[idx], (x,), "slice")
 
-    def bw():
-        g = np.zeros_like(x.data)
-        np.add.at(g, idx, out.grad)  # g[idx] += would drop repeated positions
-        x.accum_grad(g)
+    def dx(g):
+        scattered = np.zeros_like(x.data)
+        np.add.at(scattered, idx, g)  # scattered[idx] += would drop repeated positions
+        return scattered
 
-    return _attach(out, bw)
+    return _node("slice", x.data[idx], (x,), dx)
 
 
 def reshape(x, shape) -> Tensor:
     x = constant(x)
-    out = Tensor(x.data.reshape(shape), (x,), "reshape")
-
-    def bw():
-        x.accum_grad(out.grad.reshape(x.data.shape))
-
-    return _attach(out, bw)
+    return _node("reshape", x.data.reshape(shape), (x,), lambda g: g.reshape(x.data.shape))
 
 
 def transpose(x, axes) -> Tensor:
     x = constant(x)
     axes = tuple(axes)
-    out = Tensor(x.data.transpose(axes), (x,), "transpose")
     inverse = tuple(np.argsort(axes))
-
-    def bw():
-        x.accum_grad(out.grad.transpose(inverse))
-
-    return _attach(out, bw)
+    return _node("transpose", x.data.transpose(axes), (x,), lambda g: g.transpose(inverse))
 
 
 def pixel_unshuffle(x, factor: int) -> Tensor:
     """Autodiff wrapper over the space-to-channel rearrangement; the backward
     pass is the inverse rearrangement."""
     x = constant(x)
-    out = Tensor(nd.pixel_unshuffle(x.data, factor), (x,), "pixel_unshuffle")
-
-    def bw():
-        x.accum_grad(nd.pixel_shuffle(out.grad, factor))
-
-    return _attach(out, bw)
+    return _node("pixel_unshuffle", nd.pixel_unshuffle(x.data, factor), (x,),
+                 lambda g: nd.pixel_shuffle(g, factor))
 
 
 # -- normalizations ------------------------------------------------------------
@@ -519,15 +445,13 @@ def softmax(x, axis: int = -1) -> Tensor:
     x = constant(x)
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))  # the shift cancels in the ratio
     s = e.sum(axis=axis, keepdims=True)
-    out = Tensor(e / s, (x,), "softmax")
 
-    def bw():
-        g = out.grad
+    def dx(g):
         ge = g / s
         ge += (-g * e / (s * s)).sum(axis=axis, keepdims=True)
-        x.accum_grad(ge * e)
+        return ge * e
 
-    return _attach(out, bw)
+    return _node("softmax", e / s, (x,), dx)
 
 
 def attention(q, k, v, scale):
@@ -548,25 +472,35 @@ def attention(q, k, v, scale):
     p -= p.max(axis=-1, keepdims=True)  # the shift cancels in the ratio
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor(np.matmul(p, v.data), (q, k, v, scale), "attention")
+    shared = []
 
-    def bw():
-        g = out.grad
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        v.accum_grad(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.data.shape))
-        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-        ds *= p  # now the gradient of the scaled logits
-        dsk = np.matmul(ds, k.data)
-        scale.accum_grad(np.einsum("...ij,...ij->...", dsk, q.data).sum())
+    def logit_grads(g):
+        # dlogits, dlogits @ k and the scale's gradient, computed once per
+        # backward for the q, k and scale gradients
+        if not shared:
+            ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p  # now the gradient of the scaled logits
+            dsk = np.matmul(ds, k.data)
+            shared.extend((ds, dsk, np.einsum("...ij,...ij->...", dsk, q.data).sum()))
+        return shared
+
+    def dq(g):
+        dsk = logit_grads(g)[1]
         dsk *= scale.data
-        q.accum_grad(_unbroadcast(dsk, q.data.shape))
-        dk = np.matmul(np.swapaxes(ds, -1, -2), q.data)
-        dk *= scale.data
-        k.accum_grad(_unbroadcast(dk, k.data.shape))
+        return dsk
 
+    def dk(g):
+        dsq = np.matmul(np.swapaxes(logit_grads(g)[0], -1, -2), q.data)
+        dsq *= scale.data
+        return dsq
+
+    out = _node("attention", np.matmul(p, v.data), (q, k, v, scale), dq, dk,
+                lambda g: np.matmul(np.swapaxes(p, -1, -2), g),
+                lambda g: np.reshape(logit_grads(g)[2], scale.data.shape))
     weights = p.view()
     weights.flags.writeable = False  # the backward reads p
-    return _attach(out, bw), weights
+    return out, weights
 
 
 # composites of the primitive ops, so their backward passes need no separate derivation

@@ -91,7 +91,6 @@ def cmd_check(args, names=None) -> int:
 
 def cmd_train_phase1(args) -> int:
     config = resolve_config(args)
-    dh.require_phase1_records(config)
     nets, records = dh.train_phase1(dh.Experiment(config))
     dh.save_phase1(args.out, nets, records)
     first, last = records[0], records[-1]

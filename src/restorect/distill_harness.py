@@ -67,14 +67,17 @@ class ExperimentConfig:
         for name in ("lr_rex", "lr_img", "lr_phase2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config: {name} must be positive")
-        # the least value a run can use: the Frechet probes need two samples
+        # the least value a run can use: the Frechet probes need two samples,
+        # and every command that trains phase 1 or DDIM reports or scores it
         for name, least in (("feature_dim", 1), ("batch_size", 1), ("dataset_size", 2),
                             ("holdout_size", 0), ("log_interval", 1), ("image_size", 4),
                             ("channels", 4), ("head_count", 1), ("compare_count", 2),
-                            ("ddim_train_steps", 2)):
+                            ("ddim_train_steps", 2), ("phase1_iters", 1), ("ddim_iters", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"config: {name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
+        if not self.sampler_steps:
+            raise ValueError("config: sampler_steps must list at least one step count")
         # t_max bounds every sampler trajectory, so it shares the step rule
         for name, steps in (("t_max", [self.t_max]), ("sampler_steps", self.sampler_steps)):
             for s in steps:
@@ -108,7 +111,6 @@ class MetricsRecord:
     feature_mse: float
     frechet: float
     steps: int
-    wall_time: float  # seconds since phase start; excluded from the CSV
 
 
 def write_metrics_csv(path, records: list, component_names: list) -> None:
@@ -254,11 +256,11 @@ class SyntheticTeacher:
             h /= max(feats.std(), 1e-6)
 
     def _pool(self, lq: np.ndarray, gt: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            h = ad.pixel_unshuffle(np.concatenate([lq, gt], axis=1), 2)
-            for w in (self.w1, self.w2):
-                h = ad.leaky_relu(ad.conv2d_3x3(h, w), 0.1)
-            return ad.mean(h, axes=(2, 3)).data
+        # every input is an array, so the ops build no graph
+        h = ad.pixel_unshuffle(np.concatenate([lq, gt], axis=1), 2)
+        for w in (self.w1, self.w2):
+            h = ad.leaky_relu(ad.conv2d_3x3(h, w), 0.1)
+        return ad.mean(h, axes=(2, 3)).data
 
     def encode_pair(self, lq: np.ndarray, gt: np.ndarray):
         """Teacher feature targets for (lq, gt) batches: (ipr_rex, ipr_img)."""
@@ -402,7 +404,6 @@ def train_phase1(exp: Experiment):
     loop = rng.derive("phase1-loop")
     probe_z = rng.derive("phase1-probe").normal((min(128, n), config.feature_dim))
     records = []
-    start = time.perf_counter()
 
     for it in range(config.phase1_iters):
         idx = loop.integers(0, n, config.batch_size)
@@ -438,8 +439,7 @@ def train_phase1(exp: Experiment):
         if it % config.log_interval == 0 or it == config.phase1_iters - 1:
             fmse = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"], config.t_max)
             fd = _frechet_probe(nets, feats, probe_z, config.t_max)
-            records.append(MetricsRecord(it, comps, fmse, fd, config.t_max,
-                                         time.perf_counter() - start))
+            records.append(MetricsRecord(it, comps, fmse, fd, config.t_max))
     for net in nets.values():
         net.trained = True
     return nets, records
@@ -507,7 +507,6 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
         return nd.require_finite(float(np.abs(pred.data - gt).mean()), "phase2 holdout_l1")
 
     initial_holdout = holdout_metric()
-    start = time.perf_counter()
 
     for it in range(config.phase2_iters):
         idx = loop.integers(0, n, config.batch_size)
@@ -551,8 +550,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
             comps = dict(comps)
             comps["holdout_l1"] = holdout_metric()
             fmse = _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx])
-            records.append(MetricsRecord(it, comps, fmse, float("nan"),
-                                         config.t_max, time.perf_counter() - start))
+            records.append(MetricsRecord(it, comps, fmse, float("nan"), config.t_max))
 
     summary = {
         "initial_holdout_l1": initial_holdout,
@@ -691,18 +689,9 @@ def save_phase2(outdir, student: StudentNet, records: list) -> None:
 
 # -- full pipeline -------------------------------------------------------------------------
 
-def require_phase1_records(config: ExperimentConfig) -> None:
-    """`distill` and `restorect train-phase1` report the first and last
-    phase-1 records, so they need an iteration; `train_phase1` accepts 0."""
-    if config.phase1_iters < 1:
-        raise ValueError(f"config: phase1_iters must be at least 1 to report phase-1 "
-                         f"losses, got {config.phase1_iters}")
-
-
 def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
-    require_phase1_records(config)
     exp = Experiment(config)
     student = StudentNet(nd.Rng(config.seed).derive("student-init"),
                          config.channels, config.head_count, cond_dim=config.feature_dim)

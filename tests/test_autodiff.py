@@ -1,5 +1,7 @@
+import ast
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +317,81 @@ def test_backward_frees_the_graph_without_the_cyclic_collector():
     finally:
         gc.enable()
     assert x.grad is not None
+
+
+# -- one recording path: constant inputs get no gradient ----------------------------------
+
+def test_conv_of_a_constant_image_fills_only_the_weight_gradient():
+    rng = nd.Rng(50)
+    image = ad.constant(rng.normal((2, 3, 5, 4)))
+    w = ad.Param(rng.derive("w").normal((4, 3, 3, 3)), "w")
+    probe = rng.derive("probe").normal((2, 4, 5, 4))
+    ad.sum_(ad.conv2d_3x3(image, w) * probe).backward()
+    assert image.grad is None
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(image.data, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
+    expected = np.einsum("bohw,bihwkl->oikl", probe, windows, optimize=True)
+    assert w.grad.tobytes() == expected.tobytes()
+
+
+def test_an_op_on_constants_alone_is_a_leaf_with_grad_enabled():
+    rng = nd.Rng(51)
+    a, b = ad.constant(rng.normal((3, 3))), rng.normal((3, 3))
+    for node in (ad.mul(a, b), ad.matmul(a, b), ad.exp(a), ad.concat([a, b], axis=1),
+                 ad.attention(a[None], a[None], a[None], 0.5)[0]):
+        assert node._prev == ()
+        assert node._backward is None
+
+
+def test_mul_never_calls_the_gradient_function_of_a_constant(monkeypatch):
+    calls = []
+    real_node = ad._node
+
+    def spying_node(op, data, inputs, *grads):
+        def spy(i, grad):
+            def recorded(g):
+                calls.append((op, i))
+                return grad(g)
+            return recorded
+        return real_node(op, data, inputs, *(spy(i, grad) for i, grad in enumerate(grads)))
+
+    monkeypatch.setattr(ad, "_node", spying_node)
+    c = ad.constant(np.array([2.0, -3.0]))
+    w = ad.Param(np.array([0.5, 4.0]), "w")
+    product = ad.mul(c, w)
+    assert product._prev == (w,)
+    ad.sum_(product).backward()
+    assert ("mul", 1) in calls and ("mul", 0) not in calls
+    np.testing.assert_array_equal(w.grad, c.data)
+    assert c.grad is None
+
+
+def test_graph_links_are_recorded_in_one_place():
+    """Only Tensor.__init__, Tensor.backward and _node assign a node's
+    _backward or _prev, and only _node accumulates op gradients."""
+    tree = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    assigns, accumulates = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(isinstance(t, ast.Attribute) and t.attr in ("_backward", "_prev")
+                       for target in targets for t in ast.walk(target)):
+                    assigns.add(".".join(scope))
+            elif isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", "")
+                if name in ("accum_grad", "_unbroadcast"):
+                    accumulates.add(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    assert assigns <= {"Tensor.__init__", "Tensor.backward", "_node"}, assigns
+    assert accumulates == {"_node.backward"}, accumulates
 
 
 # -- fused softmax ------------------------------------------------------------------------

@@ -138,9 +138,12 @@ def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,bad", [("distill", {"holdout_size": -2}),
                                          ("distill", {"phase1_iters": 0}),
-                                         ("train-phase1", {"phase1_iters": 0})])
+                                         ("train-phase1", {"phase1_iters": 0}),
+                                         ("compare-samplers", {"phase1_iters": 0}),
+                                         ("compare-samplers", {"ddim_iters": 0}),
+                                         ("compare-samplers", {"sampler_steps": []})])
 def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, command, bad):
-    # train_phase1 itself accepts 0 iterations; these commands report its first and last record
+    # the config rejects these values when it is built, before any training
     monkeypatch.setattr(dh, "train_phase1", lambda exp: pytest.fail("phase 1 ran"))
     config = small_config_file(tmp_path, **bad)
     assert cli.main([command, "--config", config, "--out", str(tmp_path / "run")]) == 1
@@ -148,6 +151,7 @@ def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, 
     (field,) = bad
     assert err.startswith(f"restorect {command}: ") and err.count("\n") == 1, err
     assert field in err
+    assert not (tmp_path / "run" / "samplers.csv").exists()
 
 
 def test_diverging_adam_exits_1_naming_the_param(tmp_path, capsys):
