@@ -72,7 +72,8 @@ class ExperimentConfig:
         for name, least in (("feature_dim", 1), ("batch_size", 1), ("dataset_size", 2),
                             ("holdout_size", 0), ("log_interval", 1), ("image_size", 4),
                             ("channels", 4), ("head_count", 1), ("compare_count", 2),
-                            ("ddim_train_steps", 2), ("phase1_iters", 1), ("ddim_iters", 1)):
+                            ("ddim_train_steps", 2), ("phase1_iters", 1), ("phase2_iters", 1),
+                            ("ddim_iters", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"config: {name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
@@ -231,6 +232,10 @@ def stack_batch(pairs: list, indices=None):
 
 # -- synthetic teacher ---------------------------------------------------------------
 
+# Items the teacher encodes per pass; distill's training, holdout and probe
+# batches each fit in one block.
+TEACHER_BLOCK_ROWS = 64
+
 class SyntheticTeacher:
     """Frozen seeded encoder from (lq, gt) image pairs to a pair of 256-dim
     feature vectors (reflectance-path and image-path). Pixel-unshuffle,
@@ -256,11 +261,17 @@ class SyntheticTeacher:
             h /= max(feats.std(), 1e-6)
 
     def _pool(self, lq: np.ndarray, gt: np.ndarray) -> np.ndarray:
-        # every input is an array, so the ops build no graph
-        h = ad.pixel_unshuffle(np.concatenate([lq, gt], axis=1), 2)
-        for w in (self.w1, self.w2):
-            h = ad.leaky_relu(ad.conv2d_3x3(h, w), 0.1)
-        return ad.mean(h, axes=(2, 3)).data
+        # Every input is an array, so the ops build no graph. Each pooled row
+        # depends only on its own item, so running the chain block by block
+        # gives the same bits while the convs' 9x im2col windows stay block-sized.
+        pooled = []
+        for i in range(0, len(lq), TEACHER_BLOCK_ROWS):
+            rows = slice(i, i + TEACHER_BLOCK_ROWS)
+            h = ad.pixel_unshuffle(np.concatenate([lq[rows], gt[rows]], axis=1), 2)
+            for w in (self.w1, self.w2):
+                h = ad.leaky_relu(ad.conv2d_3x3(h, w), 0.1)
+            pooled.append(ad.mean(h, axes=(2, 3)).data)
+        return np.concatenate(pooled)
 
     def encode_pair(self, lq: np.ndarray, gt: np.ndarray):
         """Teacher feature targets for (lq, gt) batches: (ipr_rex, ipr_img)."""
@@ -555,7 +566,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     summary = {
         "initial_holdout_l1": initial_holdout,
         "final_holdout_l1": holdout_metric(),
-        "gate_fraction": gate_hits / max(config.phase2_iters, 1),
+        "gate_fraction": gate_hits / config.phase2_iters,
     }
     return student, records, summary
 

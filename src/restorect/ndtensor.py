@@ -5,15 +5,40 @@ All public functions consume and produce contiguous float64 numpy arrays and
 treat any NaN/Inf in a result as an error state. Reductions use numpy's
 fixed left-to-right pairwise summation, so results are deterministic for a
 given input regardless of threading in the caller.
+
+Importing this module pins numpy's bundled OpenBLAS to one thread, because a
+matmul's low-order bits depend on how many threads split it; `BLAS_THREADS`
+records the count, or None when no thread setter was found.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 import struct
+import warnings
 import zlib
 
 import numpy as np
+
+
+def _pin_blas_threads():
+    """Set the OpenBLAS that numpy ships to one thread; 1, or None (with a
+    RuntimeWarning) when no thread setter is found."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*.so*"))):
+        setter = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
+            return 1
+    warnings.warn("restorect: no OpenBLAS thread setter found, so results may depend "
+                  "on the BLAS thread count", RuntimeWarning, stacklevel=2)
+    return None
+
+
+BLAS_THREADS = _pin_blas_threads()
 
 
 def as_tensor(data) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,15 +398,29 @@ def teacher_objective(pred: Tensor, gt: Tensor, r_pred: Tensor, l_pred: Tensor,
 # -- checkpoints ---------------------------------------------------------------------
 
 def save_checkpoint(directory, params: dict) -> None:
-    """One binary dump per param plus a manifest of name -> filename."""
-    os.makedirs(directory, exist_ok=True)
-    lines = []
-    for i, (name, p) in enumerate(sorted(params.items())):
-        fname = f"param_{i:04d}.bin"
-        nd.save_tensor(os.path.join(directory, fname), p.data)
-        lines.append(f"{name}\t{fname}")
-    with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """One binary dump per param plus a manifest of name -> filename. The
+    files go into a fresh sibling directory that then replaces `directory` by
+    renames, so a failed or interrupted save never mixes old and new files."""
+    directory = os.path.abspath(directory)
+    tmp, old = f"{directory}.tmp-{os.getpid()}", f"{directory}.old-{os.getpid()}"
+    for stale in (tmp, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        lines = []
+        for i, (name, p) in enumerate(sorted(params.items())):
+            fname = f"param_{i:04d}.bin"
+            nd.save_tensor(os.path.join(tmp, fname), p.data)
+            lines.append(f"{name}\t{fname}")
+        with open(os.path.join(tmp, "manifest.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        if os.path.isdir(directory):
+            os.rename(directory, old)
+        os.rename(tmp, directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(directory) -> dict:

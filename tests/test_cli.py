@@ -141,7 +141,9 @@ def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
                                          ("train-phase1", {"phase1_iters": 0}),
                                          ("compare-samplers", {"phase1_iters": 0}),
                                          ("compare-samplers", {"ddim_iters": 0}),
-                                         ("compare-samplers", {"sampler_steps": []})])
+                                         ("compare-samplers", {"sampler_steps": []}),
+                                         ("distill", {"phase2_iters": 0}),
+                                         ("train-phase2", {"phase2_iters": 0})])
 def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, command, bad):
     # the config rejects these values when it is built, before any training
     monkeypatch.setattr(dh, "train_phase1", lambda exp: pytest.fail("phase 1 ran"))
@@ -151,7 +153,7 @@ def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, 
     (field,) = bad
     assert err.startswith(f"restorect {command}: ") and err.count("\n") == 1, err
     assert field in err
-    assert not (tmp_path / "run" / "samplers.csv").exists()
+    assert not list(tmp_path.glob("run/*.csv"))
 
 
 def test_diverging_adam_exits_1_naming_the_param(tmp_path, capsys):
@@ -183,6 +185,25 @@ def test_diverging_run_prints_one_stderr_line_in_a_fresh_process(tmp_path, lr):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("restorect distill: "), proc.stderr
+
+
+def test_same_bytes_at_any_blas_thread_count(tmp_path):
+    """The package pins BLAS to one thread, so the thread count the
+    environment asks for cannot reach a matmul's low-order bits."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"phase1_iters": 30, "phase2_iters": 30, "log_interval": 10}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "restorect.cli", "distill", "--config", str(config),
+                        "--out", str(out)], check=True, capture_output=True, env=env, timeout=300)
+        outputs.append({str(f.relative_to(out)): f.read_bytes()
+                        for f in sorted(out.rglob("*")) if f.is_file()})
+    assert "phase1_metrics.csv" in outputs[0] and "ckpt_student/param_0000.bin" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_train_phase2_without_checkpoints_fails(tmp_path, capsys):

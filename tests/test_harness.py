@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_config_validation():
                 {"head_count": 0}, {"dataset_size": 0}, {"sampler_steps": [2.5]},
                 {"compare_count": 1}, {"ddim_train_steps": 1}, {"image_size": 0},
                 {"channels": 0}, {"phase1_iters": 0}, {"ddim_iters": 0},
-                {"sampler_steps": []}):
+                {"sampler_steps": []}, {"phase2_iters": 0}):
         (field,) = bad
         with pytest.raises(ValueError, match=field):
             dh.ExperimentConfig(**bad)
@@ -149,13 +150,30 @@ def reference_pool(teacher, lq, gt):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_teacher_features_are_bit_equal_to_the_numpy_forward(seed):
+    # one block; a full block plus a 1-row tail; two blocks plus a ragged tail
+    assert dh.TEACHER_BLOCK_ROWS == 64
     rng = nd.Rng(seed)
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=32)
-    lq, gt = dh.stack_batch(dh.synth_dataset(rng.derive("d"), 6, 16))
-    for got, pooled in ((teacher.encode_pair(lq, gt), reference_pool(teacher, lq, gt)),
-                        (teacher.conditioning(lq), reference_pool(teacher, lq, lq))):
-        assert got[0].tobytes() == (pooled @ teacher.h_rex).tobytes()
-        assert got[1].tobytes() == (pooled @ teacher.h_img).tobytes()
+    for n in (6, 65, 150):
+        lq, gt = dh.stack_batch(dh.synth_dataset(rng.derive(f"d{n}"), n, 16))
+        for got, pooled in ((teacher.encode_pair(lq, gt), reference_pool(teacher, lq, gt)),
+                            (teacher.conditioning(lq), reference_pool(teacher, lq, lq))):
+            assert got[0].tobytes() == (pooled @ teacher.h_rex).tobytes()
+            assert got[1].tobytes() == (pooled @ teacher.h_img).tobytes()
+
+
+def test_teacher_encoding_of_512_pairs_peaks_below_32_mb():
+    # a one-shot pass over 512 pairs peaks at ~110 MB in the convs' im2col windows
+    rng = nd.Rng(0)
+    teacher = dh.SyntheticTeacher(rng.derive("t"))
+    pairs = dh.synth_dataset(rng.derive("d"), 512, 16)
+    tracemalloc.start()
+    try:
+        dh.FeatureSet.build(teacher, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 # -- phase 1 --------------------------------------------------------------------------------

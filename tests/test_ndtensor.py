@@ -211,3 +211,11 @@ def test_tensor_dump_truncation_error():
     blob = nd.tensor_to_bytes(x)
     with pytest.raises(ValueError):
         nd.tensor_from_bytes(blob[:-3])
+
+
+# -- BLAS thread pin ------------------------------------------------------------------
+
+def test_missing_blas_thread_setter_warns_instead_of_passing_silently(monkeypatch):
+    monkeypatch.setattr(nd.glob, "glob", lambda pattern: [])
+    with pytest.warns(RuntimeWarning, match="BLAS thread count"):
+        assert nd._pin_blas_threads() is None

@@ -381,3 +381,33 @@ def test_checkpoint_unknown_param_error(tmp_path):
     nn.save_checkpoint(tmp_path / "ckpt", {**params, "bogus.extra": ad.constant(np.zeros(3))})
     with pytest.raises(KeyError, match="bogus.extra"):
         nn.restore_params(params, nn.load_checkpoint(tmp_path / "ckpt"))
+
+
+def test_failed_checkpoint_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    net = nn.VelocityPredictor(nd.Rng(23), feature_dim=8)
+    params = net.params()
+    nn.save_checkpoint(tmp_path / "ckpt", params)
+    before = nn.load_checkpoint(tmp_path / "ckpt")
+    for p in params.values():
+        p.data[...] += 1.0
+    save_tensor, calls = nd.save_tensor, []
+
+    def failing_save(path, x):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save_tensor(path, x)
+
+    monkeypatch.setattr(nd, "save_tensor", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        nn.save_checkpoint(tmp_path / "ckpt", params)
+    after = nn.load_checkpoint(tmp_path / "ckpt")
+    assert after.keys() == before.keys()
+    for name in before:
+        assert after[name].tobytes() == before[name].tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    monkeypatch.undo()  # a save that completes replaces the whole directory
+    nn.save_checkpoint(tmp_path / "ckpt", params)
+    for name, arr in nn.load_checkpoint(tmp_path / "ckpt").items():
+        assert arr.tobytes() == params[name].data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
