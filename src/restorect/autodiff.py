@@ -424,8 +424,9 @@ def reshape(x, shape) -> Tensor:
 def transpose(x, axes) -> Tensor:
     x = constant(x)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _node("transpose", x.data.transpose(axes), (x,), lambda g: g.transpose(inverse))
+    data = x.data.transpose(axes)  # numpy rejects axes out of range
+    inverse = tuple(np.argsort([a % x.ndim for a in axes]))  # negative axes count from the end
+    return _node("transpose", data, (x,), lambda g: g.transpose(inverse))
 
 
 def pixel_unshuffle(x, factor: int) -> Tensor:

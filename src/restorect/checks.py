@@ -2,7 +2,8 @@
 differentiable operation and loss, plus the module invariants and worked
 examples. `run_checks` executes the registry (or a named subset) and
 returns a machine-readable report, written to a file when given a path; the
-`fd_` subset is the gradient suite.
+`fd_` subset is the gradient suite, each check registered by `fd_case` from a
+builder of its seeded case.
 
 Ops are resolved through the autodiff module at call time, so an injected
 bad gradient (test fixture or regression) is reported under the op's name.
@@ -43,176 +44,130 @@ def _signed(seed, shape, lo=0.2, hi=1.5):
     return mag * sign
 
 
-def _fd_suite(make_loss_and_params, max_entries=None, tol=1e-4):
-    """Run the loss builder for each seed and fd-check it; returns worst error."""
-    worst = 0.0
-    for seed in FD_SEEDS:
-        f, params = make_loss_and_params(seed)
-        report = ad.fd_check(f, params, h=1e-5, tol=tol, max_entries=max_entries,
-                             rng=nd.Rng(1000 + seed))
-        worst = max(worst, report.max_rel_err)
-        if not report.passed:
-            return False, f"seed {seed}: {report.summary()}"
-    return True, f"max_rel_err={worst:.3e} over {len(list(FD_SEEDS))} seeds"
+def fd_case(name, max_entries=None):
+    """Register `case(seed) -> (f, params)` as the gradient check `name`: for
+    each seed in FD_SEEDS, the gradient of the scalar f() with respect to
+    params is compared with finite differences (on at most `max_entries`
+    sampled entries per param when given). Passes with the worst error."""
+    def wrap(case):
+        def run():
+            worst = 0.0
+            for seed in FD_SEEDS:
+                f, params = case(seed)
+                report = ad.fd_check(f, params, max_entries=max_entries, rng=nd.Rng(1000 + seed))
+                worst = max(worst, report.max_rel_err)
+                if not report.passed:
+                    return False, f"seed {seed}: {report.summary()}"
+            return True, f"max_rel_err={worst:.3e} over {len(FD_SEEDS)} seeds"
+
+        check(name)(run)
+        return case
+
+    return wrap
 
 
-def _two_param_case(seed, op):
-    a = ad.Param(_signed(seed, (3, 2)), "a")
-    b = ad.Param(_signed(seed + 100, (3, 2)), "b")
-    return (lambda: ad.mean(op(a, b) * op(a, b))), [a, b]
+# Two-input cases: f = mean(op(a, b)^2) on signed (3, 2) params a and b.
+_TWO_PARAM_OPS = {
+    "add": lambda a, b: ad.add(a, b),
+    "sub": lambda a, b: ad.sub(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "div": lambda a, b: ad.div(a, b),
+    "relu": lambda a, b: ad.relu(a) + ad.relu(b),
+    "leaky_relu": lambda a, b: ad.leaky_relu(a, 0.1) * ad.leaky_relu(b, 0.3),
+    "exp": lambda a, b: ad.exp(a * 0.5) + ad.exp(b * 0.2),
+    "sin": lambda a, b: ad.sin(a) * ad.sin(b),
+    "cos": lambda a, b: ad.cos(a) + ad.cos(b * 2.0),
+    "abs": lambda a, b: ad.abs_(a * 0.7 + b * 0.1),
+    "clamp": lambda a, b: ad.clamp(a, -1.0, 1.0) + ad.clamp(b, -0.8, 0.9),
+    "concat": lambda a, b: ad.concat([a, b], axis=0) * 1.5,
+    "slice": lambda a, b: a[1:, :] * 2.0 + b[:1, 1:],
+    "reshape": lambda a, b: ad.reshape(a, (-1,)) + ad.reshape(b, (-1,)),
+    "transpose": lambda a, b: ad.transpose(a, (1, 0)) * ad.transpose(b, (1, 0)),
+}
+for _name, _op in _TWO_PARAM_OPS.items():
+    @fd_case(f"fd_{_name}")
+    def _two_param_case(seed, op=_op):
+        a = ad.Param(_signed(seed, (3, 2)), "a")
+        b = ad.Param(_signed(seed + 100, (3, 2)), "b")
+        return (lambda: ad.mean(op(a, b) * op(a, b))), [a, b]
 
 
-def _register_elementwise_fd():
-    cases = {
-        "add": lambda a, b: ad.add(a, b),
-        "sub": lambda a, b: ad.sub(a, b),
-        "mul": lambda a, b: ad.mul(a, b),
-        "div": lambda a, b: ad.div(a, b),
-        "relu": lambda a, b: ad.relu(a) + ad.relu(b),
-        "leaky_relu": lambda a, b: ad.leaky_relu(a, 0.1) * ad.leaky_relu(b, 0.3),
-        "exp": lambda a, b: ad.exp(a * 0.5) + ad.exp(b * 0.2),
-        "sin": lambda a, b: ad.sin(a) * ad.sin(b),
-        "cos": lambda a, b: ad.cos(a) + ad.cos(b * 2.0),
-        "abs": lambda a, b: ad.abs_(a * 0.7 + b * 0.1),
-        "clamp": lambda a, b: ad.clamp(a, -1.0, 1.0) + ad.clamp(b, -0.8, 0.9),
-        "concat": lambda a, b: ad.concat([a, b], axis=0) * 1.5,
-        "slice": lambda a, b: a[1:, :] * 2.0 + b[:1, 1:],
-        "reshape": lambda a, b: ad.reshape(a, (-1,)) + ad.reshape(b, (-1,)),
-        "transpose": lambda a, b: ad.transpose(a, (1, 0)) * ad.transpose(b, (1, 0)),
-    }
-    for name, op in cases.items():
-        @check(f"fd_{name}")
-        def run(op=op):
-            return _fd_suite(lambda seed: _two_param_case(seed, op))
+@fd_case("fd_sqrt")
+def fd_sqrt(seed):
+    a = ad.Param(nd.Rng(seed).uniform((3, 2), 0.3, 2.0), "a")
+    return (lambda: ad.sum_(ad.sqrt(a))), [a]
 
 
-_register_elementwise_fd()
+@fd_case("fd_power")
+def fd_power(seed):
+    a = ad.Param(nd.Rng(seed).uniform((3, 2), 0.3, 2.0), "a")
+    return (lambda: ad.mean(ad.power(a, 1.7))), [a]
 
 
-@check("fd_sqrt")
-def fd_sqrt():
-    def case(seed):
-        a = ad.Param(nd.Rng(seed).uniform((3, 2), 0.3, 2.0), "a")
-        return (lambda: ad.sum_(ad.sqrt(a))), [a]
-
-    return _fd_suite(case)
+@fd_case("fd_matmul")
+def fd_matmul(seed):
+    a = ad.Param(_signed(seed, (3, 4)), "a")
+    b = ad.Param(_signed(seed + 50, (4, 2)), "b")
+    return (lambda: ad.mean(ad.matmul(a, b) * ad.matmul(a, b))), [a, b]
 
 
-@check("fd_power")
-def fd_power():
-    def case(seed):
-        a = ad.Param(nd.Rng(seed).uniform((3, 2), 0.3, 2.0), "a")
-        return (lambda: ad.mean(ad.power(a, 1.7))), [a]
-
-    return _fd_suite(case)
+@fd_case("fd_conv2d_3x3", max_entries=24)
+def fd_conv(seed):
+    x = ad.Param(_signed(seed, (1, 2, 4, 4)), "x")
+    w = ad.Param(_signed(seed + 70, (2, 2, 3, 3)), "w")
+    return (lambda: ad.mean(ad.conv2d_3x3(x, w) * ad.conv2d_3x3(x, w))), [x, w]
 
 
-@check("fd_matmul")
-def fd_matmul():
-    def case(seed):
-        a = ad.Param(_signed(seed, (3, 4)), "a")
-        b = ad.Param(_signed(seed + 50, (4, 2)), "b")
-        return (lambda: ad.mean(ad.matmul(a, b) * ad.matmul(a, b))), [a, b]
-
-    return _fd_suite(case)
-
-
-@check("fd_conv2d_3x3")
-def fd_conv():
-    def case(seed):
-        x = ad.Param(_signed(seed, (1, 2, 4, 4)), "x")
-        w = ad.Param(_signed(seed + 70, (2, 2, 3, 3)), "w")
-        return (lambda: ad.mean(ad.conv2d_3x3(x, w) * ad.conv2d_3x3(x, w))), [x, w]
-
-    return _fd_suite(case, max_entries=24)
-
-
-@check("fd_softmax")
-def fd_softmax():
-    def case(seed):
+# Last-axis normalizations, each read through its own fixed probe.
+for _offset, _name in enumerate(("softmax", "layer_norm", "l2_normalize"), start=7):
+    @fd_case(f"fd_{_name}")
+    def _last_axis_case(seed, op=_name, offset=_offset):
         a = ad.Param(_signed(seed, (3, 5)), "a")
-        probe = ad.constant(nd.Rng(seed + 7).normal((3, 5)))
-        return (lambda: ad.mean(ad.softmax(a, axis=-1) * probe)), [a]
-
-    return _fd_suite(case)
+        probe = ad.constant(nd.Rng(seed + offset).normal((3, 5)))
+        return (lambda: ad.mean(getattr(ad, op)(a, axis=-1) * probe)), [a]
 
 
-@check("fd_layer_norm")
-def fd_layer_norm():
-    def case(seed):
-        a = ad.Param(_signed(seed, (3, 5)), "a")
-        probe = ad.constant(nd.Rng(seed + 8).normal((3, 5)))
-        return (lambda: ad.mean(ad.layer_norm(a, axis=-1) * probe)), [a]
-
-    return _fd_suite(case)
+@fd_case("fd_reductions")
+def fd_reductions(seed):
+    a = ad.Param(_signed(seed, (2, 3, 2)), "a")
+    return (lambda: ad.sum_(ad.mean(a, axes=(0, 2)) * ad.mean(a, axes=(0, 2)))
+            + 0.0 * ad.mean(ad.sum_(a, axes=1))), [a]
 
 
-@check("fd_l2_normalize")
-def fd_l2_normalize():
-    def case(seed):
-        a = ad.Param(_signed(seed, (3, 5)), "a")
-        probe = ad.constant(nd.Rng(seed + 9).normal((3, 5)))
-        return (lambda: ad.mean(ad.l2_normalize(a, axis=-1) * probe)), [a]
-
-    return _fd_suite(case)
+@fd_case("fd_pixel_unshuffle")
+def fd_pixel_unshuffle(seed):
+    x = ad.Param(_signed(seed, (1, 2, 4, 4)), "x")
+    return (lambda: ad.mean(ad.pixel_unshuffle(x, 2) * ad.pixel_unshuffle(x, 2))), [x]
 
 
-@check("fd_reductions")
-def fd_reductions():
-    def case(seed):
-        a = ad.Param(_signed(seed, (2, 3, 2)), "a")
-        return (lambda: ad.sum_(ad.mean(a, axes=(0, 2)) * ad.mean(a, axes=(0, 2)))
-                + 0.0 * ad.mean(ad.sum_(a, axes=1))), [a]
-
-    return _fd_suite(case)
+@fd_case("fd_scln")
+def fd_scln(seed):
+    x = ad.Param(nd.Rng(seed).normal((1, 4, 3, 3)), "x")
+    params = nn.SclnParams.create(4)
+    probe = ad.constant(nd.Rng(seed + 11).normal((1, 4, 3, 3)))
+    return (lambda: ad.mean(nn.scln(x, params) * probe)), [x, params.gamma]
 
 
-@check("fd_pixel_unshuffle")
-def fd_pixel_unshuffle():
-    def case(seed):
-        x = ad.Param(_signed(seed, (1, 2, 4, 4)), "x")
-        return (lambda: ad.mean(ad.pixel_unshuffle(x, 2) * ad.pixel_unshuffle(x, 2))), [x]
-
-    return _fd_suite(case)
-
-
-@check("fd_scln")
-def fd_scln():
-    def case(seed):
-        x = ad.Param(nd.Rng(seed).normal((1, 4, 3, 3)), "x")
-        params = nn.SclnParams.create(4)
-        probe = ad.constant(nd.Rng(seed + 11).normal((1, 4, 3, 3)))
-        return (lambda: ad.mean(nn.scln(x, params) * probe)), [x, params.gamma]
-
-    return _fd_suite(case)
+@fd_case("fd_qk_attention", max_entries=6)
+def fd_attention(seed):
+    rng = nd.Rng(seed)
+    params = nn.AttentionParams(8, 2, rng.derive("p"))
+    x = ad.Param(rng.normal((1, 8, 3, 3)), "x")
+    ipr = ad.Param(rng.normal((1, 256)), "ipr")
+    probe = ad.constant(rng.normal((1, 8, 3, 3)))
+    plist = [x, ipr] + list(params.params().values())
+    return (lambda: ad.mean(nn.qk_normalized_attention(x, ipr, params) * probe)), plist
 
 
-@check("fd_qk_attention")
-def fd_attention():
-    def case(seed):
-        rng = nd.Rng(seed)
-        params = nn.AttentionParams(8, 2, rng.derive("p"))
-        x = ad.Param(rng.normal((1, 8, 3, 3)), "x")
-        ipr = ad.Param(rng.normal((1, 256)), "ipr")
-        probe = ad.constant(rng.normal((1, 8, 3, 3)))
-        plist = [x, ipr] + list(params.params().values())
-        return (lambda: ad.mean(nn.qk_normalized_attention(x, ipr, params) * probe)), plist
-
-    return _fd_suite(case, max_entries=6)
-
-
-@check("fd_toy_block")
-def fd_toy_block():
-    def case(seed):
-        rng = nd.Rng(seed)
-        block = nn.ToyTransformerBlock(8, 2, rng.derive("b"))
-        x = ad.Param(rng.normal((1, 8, 4, 4)), "x")
-        ipr = ad.Param(rng.normal((1, 256)), "ipr")
-        probe = ad.constant(rng.normal((1, 8, 4, 4)))
-        plist = [x, ipr] + list(block.params().values())
-        return (lambda: ad.mean(block.forward(x, ipr) * probe)), plist
-
-    return _fd_suite(case, max_entries=5)
+@fd_case("fd_toy_block", max_entries=5)
+def fd_toy_block(seed):
+    rng = nd.Rng(seed)
+    block = nn.ToyTransformerBlock(8, 2, rng.derive("b"))
+    x = ad.Param(rng.normal((1, 8, 4, 4)), "x")
+    ipr = ad.Param(rng.normal((1, 256)), "ipr")
+    probe = ad.constant(rng.normal((1, 8, 4, 4)))
+    plist = [x, ipr] + list(block.params().values())
+    return (lambda: ad.mean(block.forward(x, ipr) * probe)), plist
 
 
 def _decomp_preact_margin(net: nn.DecompositionNet, img: np.ndarray) -> float:
@@ -228,66 +183,57 @@ def _decomp_preact_margin(net: nn.DecompositionNet, img: np.ndarray) -> float:
     return margin
 
 
-@check("fd_decomposition_net")
-def fd_decomposition():
-    def case(seed):
-        # deterministically skip sub-seeds whose activations sit on a kink
-        for attempt in range(20):
-            rng = nd.Rng(seed * 100 + attempt)
-            net = nn.DecompositionNet(rng.derive("d"))
-            img_vals = rng.uniform((1, 3, 6, 6), 0.1, 0.9)
-            if _decomp_preact_margin(net, img_vals) > 3e-4:
-                break
-        img = ad.Param(img_vals, "img")
-        probe = ad.constant(rng.normal((1, 4, 6, 6)))
-        plist = [img] + list(net.params().values())
-        return (lambda: ad.mean(net.forward(img) * probe)), plist
-
-    return _fd_suite(case, max_entries=6)
+@fd_case("fd_decomposition_net", max_entries=6)
+def fd_decomposition(seed):
+    # deterministically skip sub-seeds whose activations sit on a kink
+    for attempt in range(20):
+        rng = nd.Rng(seed * 100 + attempt)
+        net = nn.DecompositionNet(rng.derive("d"))
+        img_vals = rng.uniform((1, 3, 6, 6), 0.1, 0.9)
+        if _decomp_preact_margin(net, img_vals) > 3e-4:
+            break
+    img = ad.Param(img_vals, "img")
+    probe = ad.constant(rng.normal((1, 4, 6, 6)))
+    plist = [img] + list(net.params().values())
+    return (lambda: ad.mean(net.forward(img) * probe)), plist
 
 
-@check("fd_velocity_predictor")
-def fd_velocity():
-    def case(seed):
-        rng = nd.Rng(seed)
-        net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
-        x = ad.Param(rng.normal((2, 8)), "x")
-        c = ad.Param(rng.normal((2, 8)), "c")
-        probe = ad.constant(rng.normal((2, 8)))
-        plist = [x, c] + list(net.params().values())
-        return (lambda: ad.mean(net.forward(x, 1, c) * probe)), plist
-
-    return _fd_suite(case, max_entries=6)
+@fd_case("fd_velocity_predictor", max_entries=6)
+def fd_velocity(seed):
+    rng = nd.Rng(seed)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
+    x = ad.Param(rng.normal((2, 8)), "x")
+    c = ad.Param(rng.normal((2, 8)), "c")
+    probe = ad.constant(rng.normal((2, 8)))
+    plist = [x, c] + list(net.params().values())
+    return (lambda: ad.mean(net.forward(x, 1, c) * probe)), plist
 
 
-@check("fd_anisotropic_operator")
-def fd_aniso():
-    def case(seed):
-        x = ad.Param(nd.Rng(seed).normal((1, 1, 4, 4)) * 0.3, "x")
-        params = ani.DiffusionParams()
-        probe = ad.constant(nd.Rng(seed + 13).normal((1, 1, 4, 4)))
-        return (lambda: ad.mean(ani.anisotropic_operator(x, params) * probe)), [x, params.s]
-
-    return _fd_suite(case)
+@fd_case("fd_anisotropic_operator")
+def fd_aniso(seed):
+    x = ad.Param(nd.Rng(seed).normal((1, 1, 4, 4)) * 0.3, "x")
+    params = ani.DiffusionParams()
+    probe = ad.constant(nd.Rng(seed + 13).normal((1, 1, 4, 4)))
+    return (lambda: ad.mean(ani.anisotropic_operator(x, params) * probe)), [x, params.s]
 
 
-@check("fd_hvi_transform")
-def fd_hvi():
-    def case(seed):
-        rng = nd.Rng(seed)
-        vals = np.clip(rng.uniform((1, 3, 3, 3), 0.05, 0.75) * 0.8
-                       + np.array([0.0, 0.017, 0.034]).reshape(1, 3, 1, 1), 0.0, 1.0)
-        img = ad.Param(vals, "rgb")
-        params = hvi.HviParams()
-        probes = [ad.constant(rng.normal((1, 1, 3, 3))) for _ in range(3)]
+def _hvi_rgb(rng) -> np.ndarray:
+    return np.clip(rng.uniform((1, 3, 3, 3), 0.05, 0.75) * 0.8
+                   + np.array([0.0, 0.017, 0.034]).reshape(1, 3, 1, 1), 0.0, 1.0)
 
-        def f():
-            out = hvi.to_polarized_hvi(img, params)
-            return sum((ad.mean(p * q) for p, q in zip(out.planes(), probes)), ad.constant(0.0))
 
-        return f, [img, params.k]
+@fd_case("fd_hvi_transform")
+def fd_hvi(seed):
+    rng = nd.Rng(seed)
+    img = ad.Param(_hvi_rgb(rng), "rgb")
+    params = hvi.HviParams()
+    probes = [ad.constant(rng.normal((1, 1, 3, 3))) for _ in range(3)]
 
-    return _fd_suite(case)
+    def f():
+        out = hvi.to_polarized_hvi(img, params)
+        return sum((ad.mean(p * q) for p, q in zip(out.planes(), probes)), ad.constant(0.0))
+
+    return f, [img, params.k]
 
 
 def _loss_case_inputs(seed):
@@ -297,117 +243,83 @@ def _loss_case_inputs(seed):
     return rng, pred, gt
 
 
-@check("fd_loss_rec")
-def fd_loss_rec():
-    def case(seed):
-        _, pred, gt = _loss_case_inputs(seed)
-        return (lambda: ad.mean(ad.abs_(pred - gt))), [pred]
-
-    return _fd_suite(case)
+@fd_case("fd_loss_rec")
+def fd_loss_rec(seed):
+    _, pred, gt = _loss_case_inputs(seed)
+    return (lambda: ad.mean(ad.abs_(pred - gt))), [pred]
 
 
-@check("fd_loss_vgg")
-def fd_loss_vgg():
-    def case(seed):
+# Feature-space losses through a seeded extractor.
+for _name, _loss in (("vgg", "perceptual_loss"), ("sty", "style_loss")):
+    @fd_case(f"fd_loss_{_name}", max_entries=16)
+    def _feature_loss_case(seed, loss=_loss):
         rng, pred, gt = _loss_case_inputs(seed)
         ext = nn.FeatureExtractor(rng.derive("e"))
-        return (lambda: nn.perceptual_loss(pred, gt, ext)), [pred]
-
-    return _fd_suite(case, max_entries=16)
+        return (lambda: getattr(nn, loss)(pred, gt, ext)), [pred]
 
 
-@check("fd_loss_sty")
-def fd_loss_sty():
-    def case(seed):
-        rng, pred, gt = _loss_case_inputs(seed)
-        ext = nn.FeatureExtractor(rng.derive("e"))
-        return (lambda: nn.style_loss(pred, gt, ext)), [pred]
-
-    return _fd_suite(case, max_entries=16)
+@fd_case("fd_loss_tex")
+def fd_loss_tex(seed):
+    rng, pred, _ = _loss_case_inputs(seed)
+    inp = ad.constant(rng.uniform((1, 3, 4, 4)))
+    params = ani.DiffusionParams()
+    return (lambda: ani.texture_loss(inp, pred, params)), [pred, params.s]
 
 
-@check("fd_loss_tex")
-def fd_loss_tex():
-    def case(seed):
-        rng, pred, _ = _loss_case_inputs(seed)
-        inp = ad.constant(rng.uniform((1, 3, 4, 4)))
-        params = ani.DiffusionParams()
-        return (lambda: ani.texture_loss(inp, pred, params)), [pred, params.s]
-
-    return _fd_suite(case)
+@fd_case("fd_loss_lum")
+def fd_loss_lum(seed):
+    lum = ad.Param(nd.Rng(seed).uniform((1, 1, 4, 4), 0.1, 0.9), "L")
+    return (lambda: ani.illumination_smoothness_loss(lum)), [lum]
 
 
-@check("fd_loss_lum")
-def fd_loss_lum():
-    def case(seed):
-        lum = ad.Param(nd.Rng(seed).uniform((1, 1, 4, 4), 0.1, 0.9), "L")
-        return (lambda: ani.illumination_smoothness_loss(lum)), [lum]
-
-    return _fd_suite(case)
-
-
-@check("fd_loss_col")
-def fd_loss_col():
-    def case(seed):
-        rng = nd.Rng(seed)
-        vals = np.clip(rng.uniform((1, 3, 3, 3), 0.05, 0.75) * 0.8
-                       + np.array([0.0, 0.017, 0.034]).reshape(1, 3, 1, 1), 0.0, 1.0)
-        pred = ad.Param(vals, "pred")
-        gt = ad.constant(rng.uniform((1, 3, 3, 3), 0.1, 0.9))
-        params = hvi.HviParams()
-        return (lambda: hvi.polarized_color_loss(pred, gt, params)), [pred, params.k]
-
-    return _fd_suite(case)
+@fd_case("fd_loss_col")
+def fd_loss_col(seed):
+    rng = nd.Rng(seed)
+    pred = ad.Param(_hvi_rgb(rng), "pred")
+    gt = ad.constant(rng.uniform((1, 3, 3, 3), 0.1, 0.9))
+    params = hvi.HviParams()
+    return (lambda: hvi.polarized_color_loss(pred, gt, params)), [pred, params.k]
 
 
-@check("fd_loss_vel")
-def fd_loss_vel():
-    def case(seed):
-        rng = nd.Rng(seed)
-        net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
-        z = ad.constant(rng.normal((3, 6)))
-        f_t = ad.constant(rng.normal((3, 6)))
-        c = ad.constant(rng.normal((3, 6)))
-        return (lambda: rfl.velocity_matching_loss(net, (z, f_t, c), nd.Rng(99))), \
-            list(net.params().values())
-
-    return _fd_suite(case, max_entries=6)
+@fd_case("fd_loss_vel", max_entries=6)
+def fd_loss_vel(seed):
+    rng = nd.Rng(seed)
+    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
+    z = ad.constant(rng.normal((3, 6)))
+    f_t = ad.constant(rng.normal((3, 6)))
+    c = ad.constant(rng.normal((3, 6)))
+    return (lambda: rfl.velocity_matching_loss(net, (z, f_t, c), nd.Rng(99))), \
+        list(net.params().values())
 
 
-@check("fd_loss_traj")
-def fd_loss_traj():
-    def case(seed):
-        rng = nd.Rng(seed)
-        f_t = ad.constant(rng.normal((2, 4)))
-        p1 = ad.Param(rng.normal((2, 4)), "p1")
-        p2 = ad.Param(rng.normal((2, 4)), "p2")
-        return (lambda: rfl.trajectory_consistency_loss([p1, p2], f_t)), [p1, p2]
-
-    return _fd_suite(case)
+@fd_case("fd_loss_traj")
+def fd_loss_traj(seed):
+    rng = nd.Rng(seed)
+    f_t = ad.constant(rng.normal((2, 4)))
+    p1 = ad.Param(rng.normal((2, 4)), "p1")
+    p2 = ad.Param(rng.normal((2, 4)), "p2")
+    return (lambda: rfl.trajectory_consistency_loss([p1, p2], f_t)), [p1, p2]
 
 
-@check("fd_loss_flex_core")
-def fd_loss_flex():
+@fd_case("fd_loss_flex_core")
+def fd_loss_flex(seed):
     # statistics and mask are detached by design; they are frozen from the
     # base point and the differentiable core is checked against fd
-    def case(seed):
-        rng = nd.Rng(seed)
-        stud = ad.Param(rng.normal((1, 2, 4, 4)), "stud")
-        teach = ad.constant(rng.normal((1, 2, 4, 4)))
-        mu, sigma = fx.student_channel_stats(stud)
-        mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
-        inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
-        mask = ad.constant(fx.outlier_mask((stud - mu_c) * inv, fx.PERCENTILE))
-        den = float(mask.data.sum()) + fx.EPS
-        w_res = fx.resolution_weight(4, 4)
+    rng = nd.Rng(seed)
+    stud = ad.Param(rng.normal((1, 2, 4, 4)), "stud")
+    teach = ad.constant(rng.normal((1, 2, 4, 4)))
+    mu, sigma = fx.student_channel_stats(stud)
+    mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
+    inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
+    mask = ad.constant(fx.outlier_mask((stud - mu_c) * inv, fx.PERCENTILE))
+    den = float(mask.data.sum()) + fx.EPS
+    w_res = fx.resolution_weight(4, 4)
 
-        def f():
-            d = (teach - mu_c) * inv - (stud - mu_c) * inv
-            return (w_res / den) * ad.sum_(mask * d * d)
+    def f():
+        d = (teach - mu_c) * inv - (stud - mu_c) * inv
+        return (w_res / den) * ad.sum_(mask * d * d)
 
-        return f, [stud]
-
-    return _fd_suite(case)
+    return f, [stud]
 
 
 # -- invariants and worked examples ----------------------------------------------------
@@ -743,11 +655,8 @@ def write_report(report: dict, path, fmt: str = "json") -> None:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     elif fmt == "csv":
-        lines = ["name,passed,detail,ms"]
-        for r in report["checks"]:
-            detail = str(r["detail"]).replace(",", ";")
-            lines.append(f"{r['name']},{int(r['passed'])},{detail},{r['ms']}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        nd.write_csv(path, ["name", "passed", "detail", "ms"],
+                     [[r["name"], int(r["passed"]), str(r["detail"]).replace(",", ";"), r["ms"]]
+                      for r in report["checks"]])
     else:
         raise ValueError(f"unknown report format '{fmt}'")

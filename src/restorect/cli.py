@@ -35,26 +35,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_steps=False):
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def command(name, help_text, config=False, report=False, steps=False):
+        """A subcommand with --out plus only the flags its handler reads."""
+        p = sub.add_parser(name, help=help_text)
+        if config:
+            p.add_argument("--config", help="path to a JSON experiment config")
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="directory for all output files")
-        p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="report format for check commands")
-        if needs_steps:
+        if report:
+            p.add_argument("--format", choices=("csv", "json"), default="json",
+                           help="report format")
+        if steps:
             p.add_argument("--steps", default=None,
                            help="comma-separated sampler step counts, e.g. 1,2,3,4,5")
 
-    common(sub.add_parser("check", help="run every registered self-check"))
-    common(sub.add_parser("grad-check", help="run the finite-difference gradient suite"))
-    common(sub.add_parser("train-phase1", help="train the velocity predictors"))
-    common(sub.add_parser("train-phase2", help="train the student against frozen predictors"))
-    common(sub.add_parser("distill", help="run phase 1 and phase 2 end to end"))
-    common(sub.add_parser("compare-samplers",
-                          help="few-step quality table: rectified flow vs DDIM baseline"),
-           needs_steps=True)
-    common(sub.add_parser("demo-hvi", help="write a hue-sweep CSV of polarized coordinates"))
-    common(sub.add_parser("demo-diffusion", help="write a CSV demo of the diffusion operator"))
+    command("check", "run every registered self-check", report=True)
+    command("grad-check", "run the finite-difference gradient suite", report=True)
+    command("train-phase1", "train the velocity predictors", config=True)
+    command("train-phase2", "train the student against frozen predictors", config=True)
+    command("distill", "run phase 1 and phase 2 end to end", config=True)
+    command("compare-samplers", "few-step quality table: rectified flow vs DDIM baseline",
+            config=True, steps=True)
+    command("demo-hvi", "write a hue-sweep CSV of polarized coordinates")
+    command("demo-diffusion", "write a CSV demo of the diffusion operator", config=True)
     return parser
 
 
@@ -157,20 +160,14 @@ def cmd_compare_samplers(args) -> int:
 def cmd_demo_hvi(args) -> int:
     """Hue sweep at S=1, I=1: polarized coordinates are periodic and continuous
     across the red boundary."""
-    config = resolve_config(args)
     os.makedirs(args.out, exist_ok=True)
     params = hvi.HviParams()
     hues = np.concatenate([np.linspace(0.0, 5.999, 120), [1e-3, 6.0 - 1e-3]])
     arr = np.array([hvi.hue_rgb(h) for h in hues]).T.reshape(1, 3, 1, -1)
     out = hvi.to_polarized_hvi(ad.constant(arr), params)
-    lines = ["hue,h_polar,v_polar,i_polar"]
-    for i, h in enumerate(hues):
-        lines.append(f"{repr(float(h))},{repr(float(out.h_polar.data[0, 0, 0, i]))},"
-                     f"{repr(float(out.v_polar.data[0, 0, 0, i]))},"
-                     f"{repr(float(out.i_polar.data[0, 0, 0, i]))}")
     path = os.path.join(args.out, "hvi_hue_sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    nd.write_csv(path, ["hue", "h_polar", "v_polar", "i_polar"],
+                 zip(hues, *(p.data[0, 0, 0] for p in (out.h_polar, out.v_polar, out.i_polar))))
     gap = math.hypot(
         float(out.h_polar.data[0, 0, 0, -2] - out.h_polar.data[0, 0, 0, -1]),
         float(out.v_polar.data[0, 0, 0, -2] - out.v_polar.data[0, 0, 0, -1]))
@@ -188,17 +185,13 @@ def cmd_demo_diffusion(args) -> int:
     img[:, :, :, n // 2:] = 1.0
     img += nd.Rng(config.seed).normal(img.shape, scale=0.02)
     img = np.clip(img, 0.0, 1.0)
-    rows = ["x,input,response_s0.05,response_s0.1,response_s0.5"]
     responses = []
     for s in (0.05, 0.1, 0.5):
         params = ani.DiffusionParams(s=ad.Param(s, "s", lo=0.01, hi=1.0))
         responses.append(ani.anisotropic_operator(ad.constant(img), params).data[0, 0, 4])
-    for x in range(n):
-        vals = ",".join(repr(float(r[x])) for r in responses)
-        rows.append(f"{x},{repr(float(img[0, 0, 4, x]))},{vals}")
     path = os.path.join(args.out, "diffusion_edge_response.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    nd.write_csv(path, ["x", "input", "response_s0.05", "response_s0.1", "response_s0.5"],
+                 zip(range(n), img[0, 0, 4], *responses))
     print(f"demo-diffusion: edge response for s in (0.05, 0.1, 0.5) -> {path}")
     return 0
 

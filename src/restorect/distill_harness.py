@@ -115,17 +115,10 @@ class MetricsRecord:
 
 
 def write_metrics_csv(path, records: list, component_names: list) -> None:
-    """Deterministic CSV: header plus one row per record. Floats use repr
-    (shortest round-trip), so identical runs give identical bytes."""
-    cols = ["iteration"] + component_names + ["feature_mse", "frechet", "steps"]
-    lines = [",".join(cols)]
-    for r in records:
-        row = [str(r.iteration)]
-        row += [repr(float(r.components[c])) for c in component_names]
-        row += [repr(float(r.feature_mse)), repr(float(r.frechet)), str(r.steps)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Header plus one row per record, written by `nd.write_csv`."""
+    nd.write_csv(path, ["iteration"] + component_names + ["feature_mse", "frechet", "steps"],
+                 [[r.iteration] + [float(r.components[c]) for c in component_names]
+                  + [float(r.feature_mse), float(r.frechet), r.steps] for r in records])
 
 
 class Adam:
@@ -373,23 +366,29 @@ def _frechet(metric: str, sampled: np.ndarray, mu_ref: np.ndarray, cov_ref: np.n
     return nd.require_finite(fd, metric)
 
 
+def _sampled(net, z, c, steps: int) -> list:
+    """The Euler states x^1..x^steps from z under conditioning c, as arrays;
+    the net is only read, so no graph is built."""
+    with ad.no_grad():
+        _, traj = rf.euler_sample(net, z, c, steps)
+    return [x.data for x in traj]
+
+
 def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: int) -> float:
     """Frechet distance between Euler-sampled and teacher image features on a
     fixed probe set (fixed z), using the full t_max-step sampler."""
     n = probe_z.shape[0]
-    with ad.no_grad():
-        x, _ = rf.euler_sample(nets["img"], probe_z, feats.c_img[:n], t_max)
+    x = _sampled(nets["img"], probe_z, feats.c_img[:n], t_max)[-1]
     ref = feats.f_img[:n]
-    return _frechet("phase1 frechet", x.data, ref.mean(axis=0), np.cov(ref, rowvar=False))
+    return _frechet("phase1 frechet", x, ref.mean(axis=0), np.cov(ref, rowvar=False))
 
 
 def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> float:
     total = 0.0
     for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
                          ("img", z_img, feats.c_img, feats.f_img)):
-        with ad.no_grad():
-            x, _ = rf.euler_sample(nets[key], z, c[idx], t_max)
-        total += float(((x.data - f[idx]) ** 2).mean())
+        x = _sampled(nets[key], z, c[idx], t_max)[-1]
+        total += float(((x - f[idx]) ** 2).mean())
     return nd.require_finite(total / 2.0, "phase1 feature_mse")
 
 
@@ -468,16 +467,6 @@ def phase1_loss_total(components: dict, config: ExperimentConfig) -> float:
 
 # -- phase 2: student training --------------------------------------------------------
 
-def _sample_state_at(net, z: np.ndarray, c: np.ndarray, t_idx: int, t_max: int) -> np.ndarray:
-    """Trajectory state at discrete time t_idx (z itself at t_idx = 0),
-    detached from the graph."""
-    if t_idx == 0:
-        return z
-    with ad.no_grad():
-        _, traj = rf.euler_sample(net, z, c, t_max)
-    return traj[t_idx - 1].data
-
-
 def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     """Train the student against frozen velocity predictors.
 
@@ -505,17 +494,18 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     records = []
     gate_hits = 0
 
-    hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim)) if holdout else None
+    if holdout:
+        # the predictors are frozen, so the holdout conditioning is fixed
+        hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim))
+        hold_lq, hold_gt = stack_batch(holdout)
+        hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.hold_feats.c_rex, config.t_max)[-1]
 
     def holdout_metric():
         if not holdout:
             return float("nan")
-        lq, gt = stack_batch(holdout)
-        ipr = _sample_state_at(vel_nets["rex"], hold_z, exp.hold_feats.c_rex,
-                               config.t_max, config.t_max)
         with ad.no_grad():
-            pred = student.forward(lq, ipr)
-        return nd.require_finite(float(np.abs(pred.data - gt).mean()), "phase2 holdout_l1")
+            pred = student.forward(hold_lq, hold_ipr)
+        return nd.require_finite(float(np.abs(pred.data - hold_gt).mean()), "phase2 holdout_l1")
 
     initial_holdout = holdout_metric()
 
@@ -524,7 +514,9 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
         lq, gt = stack_batch(data, idx)
         t_idx = int(loop.integers(0, config.t_max + 1, ()))
         z = loop.normal((config.batch_size, config.feature_dim))
-        ipr_state = _sample_state_at(vel_nets["rex"], z, feats.c_rex[idx], t_idx, config.t_max)
+        # the trajectory state at time t_idx; z itself at t_idx = 0
+        ipr_state = z if t_idx == 0 else \
+            _sampled(vel_nets["rex"], z, feats.c_rex[idx], config.t_max)[t_idx - 1]
 
         acts = {}
         pred = student.forward(ad.constant(lq), ad.constant(ipr_state), collect=acts)
@@ -646,28 +638,24 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
     for steps in config.sampler_steps:
         for name in ("rf", "ddim"):
             t0 = time.perf_counter()
-            with ad.no_grad():
-                if name == "rf":
-                    x, _ = rf.euler_sample(rf_net, z, evals.c_img, steps)
-                else:
-                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps, ddim_net.alpha_bars)
+            if name == "rf":
+                x = _sampled(rf_net, z, evals.c_img, steps)[-1]
+            else:
+                with ad.no_grad():
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps,
+                                                ddim_net.alpha_bars).data
             wall_ms = (time.perf_counter() - t0) * 1000.0
             label = f"compare-samplers {name} steps={steps}"
-            fd = _frechet(f"{label} frechet", x.data, mu_ref, cov_ref)
-            mse = _mse(f"{label} mse", x.data, evals.f_img)
+            fd = _frechet(f"{label} frechet", x, mu_ref, cov_ref)
+            mse = _mse(f"{label} mse", x, evals.f_img)
             rows.append(SamplerRow(name, steps, fd, mse, wall_ms))
 
+    cols = ["sampler", "steps", "frechet", "mse"]
     if out_csv:
-        lines = ["sampler,steps,frechet,mse"]
-        lines += [f"{r.sampler},{r.steps},{repr(r.frechet)},{repr(r.mse)}" for r in rows]
-        with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        nd.write_csv(out_csv, cols, [[r.sampler, r.steps, r.frechet, r.mse] for r in rows])
     if timing_csv:
-        lines = ["sampler,steps,frechet,mse,wall_ms"]
-        lines += [f"{r.sampler},{r.steps},{repr(r.frechet)},{repr(r.mse)},{r.wall_ms:.3f}"
-                  for r in rows]
-        with open(timing_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        nd.write_csv(timing_csv, cols + ["wall_ms"],
+                     [[r.sampler, r.steps, r.frechet, r.mse, f"{r.wall_ms:.3f}"] for r in rows])
     return rows
 
 

@@ -1,5 +1,6 @@
 """Dense float64 array substrate: deterministic RNG, reduction statistics,
-pixel rearrangement, Gaussian Frechet distance, and a binary dump format.
+pixel rearrangement, Gaussian Frechet distance, a binary dump format and the
+CSV writer every output table goes through.
 
 All public functions consume and produce contiguous float64 numpy arrays and
 treat any NaN/Inf in a result as an error state. Reductions use numpy's
@@ -241,3 +242,14 @@ def save_tensor(path, x: np.ndarray) -> None:
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return tensor_from_bytes(fh.read())
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Header plus one comma-joined line per row, `\n` line ends. Float cells
+    are written with repr (shortest round-trip) and other cells with str, so
+    equal values always give equal bytes."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

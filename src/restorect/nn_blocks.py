@@ -419,6 +419,8 @@ def save_checkpoint(directory, params: dict) -> None:
         os.rename(tmp, directory)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        if os.path.isdir(old) and not os.path.exists(directory):
+            os.rename(old, directory)  # the swap-in failed: put the previous checkpoint back
         raise
     shutil.rmtree(old, ignore_errors=True)
 

@@ -110,6 +110,16 @@ def test_fd_elementwise_ops(name):
         fd_ok(lambda: ad.mean(op(a, b) * op(a, b)), [a, b])
 
 
+def test_transpose_negative_axes_gradient_matches_positive_axes():
+    probe = nd.Rng(1).normal((4, 2, 3))
+    grads = []
+    for axes in ((-1, 0, 1), (2, 0, 1)):
+        x = ad.Param(nd.Rng(0).normal((2, 3, 4)), "x")
+        ad.sum_(ad.transpose(x, axes) * probe).backward()
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_fd_sqrt_and_power():
     for seed in range(10):
         rng = nd.Rng(seed)

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from restorect import autodiff as ad
@@ -28,24 +27,42 @@ def test_report_lists_one_entry_per_registered_check(registry_report):
     assert names == [name for name, _ in checks.CHECKS]
 
 
-def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch):
-    real_exp = ad.exp
+def _named_op(name):
+    """The autodiff function an fd_ check is named after (fd_abs -> abs_), or None."""
+    for attr in (name[3:], name[3:] + "_"):
+        if callable(getattr(ad, attr, None)):
+            return attr
+    return None
 
-    def broken_exp(x):
-        x = ad.constant(x)
-        out = ad.Tensor(np.exp(x.data), (x,), "exp")
 
-        def bw():
-            x.accum_grad(out.grad * 2.0 * out.data)  # wrong factor
+SINGLE_OP_CHECKS = [(name, _named_op(name)) for name in checks.gradient_check_names()
+                    if _named_op(name)]
 
-        out._backward = bw
+
+def test_single_op_checks_are_the_23_named_after_ops():
+    assert len(SINGLE_OP_CHECKS) == 23
+
+
+@pytest.mark.parametrize("name,attr", SINGLE_OP_CHECKS,
+                         ids=[name for name, _ in SINGLE_OP_CHECKS])
+def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch, name, attr):
+    real = getattr(ad, attr)
+
+    def doubled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        backward = out._backward
+        if backward is not None:
+            def wrong():
+                out.grad = out.grad * 2.0  # the injected bug: upstream gradient doubled
+                backward()
+
+            out._backward = wrong
         return out
 
-    monkeypatch.setattr(ad, "exp", broken_exp)
-    report = checks.run_checks(names=["fd_exp"])
-    assert report["failed"] == ["fd_exp"]
-    monkeypatch.setattr(ad, "exp", real_exp)
-    assert checks.run_checks(names=["fd_exp"])["passed"]
+    monkeypatch.setattr(ad, attr, doubled)
+    assert checks.run_checks(names=[name])["failed"] == [name]
+    monkeypatch.setattr(ad, attr, real)
+    assert checks.run_checks(names=[name])["passed"]
 
 
 def test_gradient_subset_covers_ops_and_losses():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -20,12 +21,17 @@ def small_config_file(tmp_path, **overrides):
 
 
 def test_help_lists_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for flag in ("--config", "--seed", "--out", "--format"):
-        assert flag in out
+    """Each command takes exactly the flags its handler reads."""
+    config = {"--config", "--seed", "--out"}
+    for command, flags in (("check", {"--out", "--format"}), ("grad-check", {"--out", "--format"}),
+                           ("train-phase1", config), ("train-phase2", config),
+                           ("distill", config), ("compare-samplers", config | {"--steps"}),
+                           ("demo-hvi", {"--out"}), ("demo-diffusion", config)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z]+", out)) - {"--help"} == flags, command
 
 
 def test_unknown_flag_exits_2():

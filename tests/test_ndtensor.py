@@ -219,3 +219,9 @@ def test_missing_blas_thread_setter_warns_instead_of_passing_silently(monkeypatc
     monkeypatch.setattr(nd.glob, "glob", lambda pattern: [])
     with pytest.warns(RuntimeWarning, match="BLAS thread count"):
         assert nd._pin_blas_threads() is None
+
+
+def test_write_csv_writes_floats_by_repr_with_newline_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    nd.write_csv(path, ["i", "x", "s"], [[1, np.float64(0.1) * 3, "rf"], [2, 1e-300, "ddim"]])
+    assert path.read_bytes() == b"i,x,s\n1,0.30000000000000004,rf\n2,1e-300,ddim\n"

@@ -411,3 +411,29 @@ def test_failed_checkpoint_save_leaves_the_previous_checkpoint_whole(tmp_path, m
     for name, arr in nn.load_checkpoint(tmp_path / "ckpt").items():
         assert arr.tobytes() == params[name].data.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_failed_swap_in_puts_the_previous_checkpoint_back(tmp_path, monkeypatch):
+    net = nn.VelocityPredictor(nd.Rng(24), feature_dim=8)
+    params = net.params()
+    nn.save_checkpoint(tmp_path / "ckpt", params)
+    before = nn.load_checkpoint(tmp_path / "ckpt")
+    for p in params.values():
+        p.data[...] += 1.0
+    rename, calls = nn.os.rename, []
+
+    def failing_rename(src, dst):
+        calls.append(src)
+        if len(calls) == 2:  # the temp directory's rename into place
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(nn.os, "rename", failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        nn.save_checkpoint(tmp_path / "ckpt", params)
+    monkeypatch.undo()
+    after = nn.load_checkpoint(tmp_path / "ckpt")
+    assert after.keys() == before.keys()
+    for name in before:
+        assert after[name].tobytes() == before[name].tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
