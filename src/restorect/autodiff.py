@@ -353,11 +353,15 @@ def clamp(x, lo: float, hi: float) -> Tensor:
 # -- reductions ---------------------------------------------------------------
 
 def _norm_axes(axes, ndim):
+    """Reduction axes as non-negative ints; like numpy, an axis out of
+    [-ndim, ndim) or named twice is rejected."""
     if axes is None:
         return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(a % ndim for a in axes)
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    out = tuple(a + ndim if a < 0 else a for a in axes)
+    if not all(0 <= a < ndim for a in out) or len(set(out)) != len(out):
+        raise ValueError(f"axes {axes} out of range or repeated for a {ndim}-d input")
+    return out
 
 
 def sum_(x, axes=None, keepdims: bool = False) -> Tensor:

@@ -151,7 +151,7 @@ def fd_scln(seed):
 @fd_case("fd_qk_attention", max_entries=6)
 def fd_attention(seed):
     rng = nd.Rng(seed)
-    params = nn.AttentionParams(8, 2, rng.derive("p"))
+    params = nn.AttentionParams(8, rng.derive("p"))
     x = ad.Param(rng.normal((1, 8, 3, 3)), "x")
     ipr = ad.Param(rng.normal((1, 256)), "ipr")
     probe = ad.constant(rng.normal((1, 8, 3, 3)))
@@ -162,7 +162,7 @@ def fd_attention(seed):
 @fd_case("fd_toy_block", max_entries=5)
 def fd_toy_block(seed):
     rng = nd.Rng(seed)
-    block = nn.ToyTransformerBlock(8, 2, rng.derive("b"))
+    block = nn.ToyTransformerBlock(8, rng.derive("b"))
     x = ad.Param(rng.normal((1, 8, 4, 4)), "x")
     ipr = ad.Param(rng.normal((1, 256)), "ipr")
     probe = ad.constant(rng.normal((1, 8, 4, 4)))
@@ -379,7 +379,7 @@ def inv_logit_bound():
     ok, worst, worst_dev = True, 0.0, 0.0
     for seed, tau, scale in [(6, 2.0, 4.0)] + [(s, 0.3 + s, 3.0) for s in range(5)]:
         rng = nd.Rng(seed)
-        params = nn.AttentionParams(8, 2, rng.derive("p"))
+        params = nn.AttentionParams(8, rng.derive("p"))
         params.tau.data[...] = tau
         x = ad.constant(rng.normal((2, 8, 3, 3)) * scale)
         ipr = ad.constant(rng.normal((2, 256)))
@@ -406,7 +406,7 @@ def inv_scln():
 def inv_block_identity():
     for seed in (8, 5):
         rng = nd.Rng(seed)
-        block = nn.ToyTransformerBlock(8, 2, rng.derive("b"))
+        block = nn.ToyTransformerBlock(8, rng.derive("b"))
         block.attn.wo.data[...] = 0.0
         block.w2.data[...] = 0.0
         x = rng.normal((2, 8, 4, 4))

@@ -36,6 +36,18 @@ class TrainingDiverged(RuntimeError):
     and so does a non-finite probe metric, naming the metric."""
 
 
+# Fixed by the method, not by a run's config: the phase-1 distillation and
+# trajectory weights, the phase-2 velocity weight and learning rate, the
+# sampler trajectory length, and the DDIM baseline's 50-step squared-cosine
+# schedule with betas clipped at 0.1.
+LAMBDA_KD = 1.0
+LAMBDA_TRAJ = 1.0
+LAMBDA_VEL = 0.05
+LR_PHASE2 = 1e-4
+T_MAX = 4
+DDIM_ALPHA_BARS = rf.cosine_alpha_bars(50, max_beta=0.1)
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 42
@@ -45,51 +57,40 @@ class ExperimentConfig:
     phase2_iters: int = 500
     lr_rex: float = 2e-4
     lr_img: float = 2e-4
-    lr_phase2: float = 1e-4
-    lambda_kd: float = 1.0
-    lambda_traj: float = 1.0
     lambda_flex: float = 0.15
-    lambda_vel: float = 0.05
     sampler_steps: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
     image_size: int = 16
-    t_max: int = 4
     channels: int = 16
-    head_count: int = 2
     dataset_size: int = 64
     holdout_size: int = 16
     log_interval: int = 25
-    ddim_train_steps: int = 50
     ddim_iters: int = 1500
-    ddim_max_beta: float = 0.1
     compare_count: int = 512
 
     def __post_init__(self):
-        for name in ("lr_rex", "lr_img", "lr_phase2"):
+        for name in ("lr_rex", "lr_img"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config: {name} must be positive")
         # the least value a run can use: the Frechet probes need two samples,
         # and every command that trains phase 1 or DDIM reports or scores it
         for name, least in (("feature_dim", 1), ("batch_size", 1), ("dataset_size", 2),
-                            ("holdout_size", 0), ("log_interval", 1), ("image_size", 4),
-                            ("channels", 4), ("head_count", 1), ("compare_count", 2),
-                            ("ddim_train_steps", 2), ("phase1_iters", 1), ("phase2_iters", 1),
-                            ("ddim_iters", 1)):
+                            ("holdout_size", 1), ("log_interval", 1), ("image_size", 4),
+                            ("channels", 4), ("compare_count", 2), ("phase1_iters", 1),
+                            ("phase2_iters", 1), ("ddim_iters", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"config: {name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
         if not self.sampler_steps:
             raise ValueError("config: sampler_steps must list at least one step count")
-        # t_max bounds every sampler trajectory, so it shares the step rule
-        for name, steps in (("t_max", [self.t_max]), ("sampler_steps", self.sampler_steps)):
-            for s in steps:
-                try:
-                    rf._sampler_steps(s)
-                except ValueError as exc:
-                    raise ValueError(f"config: {name}: {exc}") from None
+        for s in self.sampler_steps:
+            try:
+                rf._sampler_steps(s)
+            except ValueError as exc:
+                raise ValueError(f"config: sampler_steps: {exc}") from None
         if self.image_size % 4 != 0:
             raise ValueError("config: image_size must be divisible by 4")
-        if self.channels % (4 * self.head_count) != 0:
-            raise ValueError("config: channels must be divisible by 4*head_count")
+        if self.channels % (4 * nn.HEAD_COUNT) != 0:
+            raise ValueError(f"config: channels must be divisible by 4*{nn.HEAD_COUNT}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -314,8 +315,8 @@ class Experiment:
         return FeatureSet.build(self.teacher, self.data)
 
     @functools.cached_property
-    def hold_feats(self):
-        return FeatureSet.build(self.teacher, self.holdout) if self.holdout else None
+    def hold_feats(self) -> FeatureSet:
+        return FeatureSet.build(self.teacher, self.holdout)
 
 
 # -- student network ---------------------------------------------------------------
@@ -325,13 +326,11 @@ class StudentNet:
     conditioned transformer block, 3x3 head conv back to rgb with a global
     residual onto the degraded input."""
 
-    def __init__(self, rng: nd.Rng, channels: int = 16, head_count: int = 2,
-                 prefix: str = "student", cond_dim: int = 256):
+    def __init__(self, rng: nd.Rng, channels: int = 16, prefix: str = "student", cond_dim: int = 256):
         self.channels = channels
         self.stem_w = Param(rng.normal((channels, 3, 3, 3)) * math.sqrt(2.0 / 27), f"{prefix}.stem.w")
         self.stem_b = Param(np.zeros(channels), f"{prefix}.stem.b")
-        self.block = nn.ToyTransformerBlock(channels, head_count, rng, prefix=f"{prefix}.block",
-                                            cond_dim=cond_dim)
+        self.block = nn.ToyTransformerBlock(channels, rng, prefix=f"{prefix}.block", cond_dim=cond_dim)
         self.head_w = Param(rng.normal((3, channels, 3, 3)) * 0.05, f"{prefix}.head.w")
         self.head_b = Param(np.zeros(3), f"{prefix}.head.b")
 
@@ -374,20 +373,20 @@ def _sampled(net, z, c, steps: int) -> list:
     return [x.data for x in traj]
 
 
-def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray, t_max: int) -> float:
+def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray) -> float:
     """Frechet distance between Euler-sampled and teacher image features on a
-    fixed probe set (fixed z), using the full t_max-step sampler."""
+    fixed probe set (fixed z), using the full T_MAX-step sampler."""
     n = probe_z.shape[0]
-    x = _sampled(nets["img"], probe_z, feats.c_img[:n], t_max)[-1]
+    x = _sampled(nets["img"], probe_z, feats.c_img[:n], T_MAX)[-1]
     ref = feats.f_img[:n]
     return _frechet("phase1 frechet", x, ref.mean(axis=0), np.cov(ref, rowvar=False))
 
 
-def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img, t_max: int) -> float:
+def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img) -> float:
     total = 0.0
     for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
                          ("img", z_img, feats.c_img, feats.f_img)):
-        x = _sampled(nets[key], z, c[idx], t_max)[-1]
+        x = _sampled(nets[key], z, c[idx], T_MAX)[-1]
         total += float(((x - f[idx]) ** 2).mean())
     return nd.require_finite(total / 2.0, "phase1 feature_mse")
 
@@ -397,15 +396,15 @@ def train_phase1(exp: Experiment):
 
     Per iteration the loss is
         L_vel(rex) + L_vel(img)
-        + lambda_kd  * (mse-to-teacher of the 4-step sampled endpoint, both streams)
-        + lambda_traj * (trajectory consistency, both streams),
+        + LAMBDA_KD   * (mse-to-teacher of the T_MAX-step sampled endpoint, both streams)
+        + LAMBDA_TRAJ * (trajectory consistency, both streams),
     with one Adam optimizer per predictor.
     """
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = len(exp.data)
     nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"), config.feature_dim,
-                                      t_max=config.t_max, prefix=f"vel_{key}")
+                                      t_max=T_MAX, prefix=f"vel_{key}")
             for key in ("rex", "img")}
     opts = {
         "rex": Adam(nets["rex"].params(), config.lr_rex),
@@ -428,7 +427,7 @@ def train_phase1(exp: Experiment):
             fc = ad.constant(f_all[idx])
             cc = ad.constant(c_all[idx])
             l_vel = rf.velocity_matching_loss(nets[key], (zc, fc, cc), loop)
-            x_fin, traj = rf.euler_sample(nets[key], zc, cc, config.t_max)
+            x_fin, traj = rf.euler_sample(nets[key], zc, cc, T_MAX)
             d = x_fin - fc
             l_kd = ad.mean(d * d)
             l_traj = rf.trajectory_consistency_loss(traj, fc)
@@ -437,7 +436,7 @@ def train_phase1(exp: Experiment):
             comps["kd"] += l_kd.item()
             comps.setdefault("traj", 0.0)
             comps["traj"] += l_traj.item()
-            total = total + l_vel + config.lambda_kd * l_kd + config.lambda_traj * l_traj
+            total = total + l_vel + LAMBDA_KD * l_kd + LAMBDA_TRAJ * l_traj
         comps["total"] = total.item()
 
         for opt in opts.values():
@@ -447,9 +446,9 @@ def train_phase1(exp: Experiment):
             opt.step()
 
         if it % config.log_interval == 0 or it == config.phase1_iters - 1:
-            fmse = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"], config.t_max)
-            fd = _frechet_probe(nets, feats, probe_z, config.t_max)
-            records.append(MetricsRecord(it, comps, fmse, fd, config.t_max))
+            fmse = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"])
+            fd = _frechet_probe(nets, feats, probe_z)
+            records.append(MetricsRecord(it, comps, fmse, fd, T_MAX))
     for net in nets.values():
         net.trained = True
     return nets, records
@@ -462,7 +461,7 @@ PHASE2_COMPONENTS = ["total", "rec", "flex", "vel_rex", "vel_img", "holdout_l1",
 def phase1_loss_total(components: dict, config: ExperimentConfig) -> float:
     """Recombine logged phase-1 components into the total (bookkeeping check)."""
     return (components["vel_rex"] + components["vel_img"]
-            + config.lambda_kd * components["kd"] + config.lambda_traj * components["traj"])
+            + LAMBDA_KD * components["kd"] + LAMBDA_TRAJ * components["traj"])
 
 
 # -- phase 2: student training --------------------------------------------------------
@@ -470,7 +469,7 @@ def phase1_loss_total(components: dict, config: ExperimentConfig) -> float:
 def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     """Train the student against frozen velocity predictors.
 
-    Each iteration draws a timestep index uniformly from {0..t_max}; the
+    Each iteration draws a timestep index uniformly from {0..T_MAX}; the
     student consumes the (detached) sampled trajectory state at that time as
     its conditioning. The feature-matching term compares block activations
     against a frozen copy of the initial student fed the teacher's true
@@ -485,24 +484,20 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     rng = nd.Rng(config.seed)
     n = len(data)
     if student is None:
-        student = StudentNet(rng.derive("student-init"), config.channels, config.head_count,
-                             cond_dim=config.feature_dim)
-    teacher_side = StudentNet(rng.derive("student-init"), config.channels, config.head_count,
-                              prefix="teacher_side", cond_dim=config.feature_dim)
-    opt = Adam(student.params(), config.lr_phase2)
+        student = StudentNet(rng.derive("student-init"), config.channels, cond_dim=config.feature_dim)
+    teacher_side = StudentNet(rng.derive("student-init"), config.channels, prefix="teacher_side",
+                              cond_dim=config.feature_dim)
+    opt = Adam(student.params(), LR_PHASE2)
     loop = rng.derive("phase2-loop")
     records = []
     gate_hits = 0
 
-    if holdout:
-        # the predictors are frozen, so the holdout conditioning is fixed
-        hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim))
-        hold_lq, hold_gt = stack_batch(holdout)
-        hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.hold_feats.c_rex, config.t_max)[-1]
+    # the predictors are frozen, so the holdout conditioning is fixed
+    hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim))
+    hold_lq, hold_gt = stack_batch(holdout)
+    hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.hold_feats.c_rex, T_MAX)[-1]
 
     def holdout_metric():
-        if not holdout:
-            return float("nan")
         with ad.no_grad():
             pred = student.forward(hold_lq, hold_ipr)
         return nd.require_finite(float(np.abs(pred.data - hold_gt).mean()), "phase2 holdout_l1")
@@ -512,22 +507,22 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     for it in range(config.phase2_iters):
         idx = loop.integers(0, n, config.batch_size)
         lq, gt = stack_batch(data, idx)
-        t_idx = int(loop.integers(0, config.t_max + 1, ()))
+        t_idx = int(loop.integers(0, T_MAX + 1, ()))
         z = loop.normal((config.batch_size, config.feature_dim))
         # the trajectory state at time t_idx; z itself at t_idx = 0
         ipr_state = z if t_idx == 0 else \
-            _sampled(vel_nets["rex"], z, feats.c_rex[idx], config.t_max)[t_idx - 1]
+            _sampled(vel_nets["rex"], z, feats.c_rex[idx], T_MAX)[t_idx - 1]
 
         acts = {}
         pred = student.forward(ad.constant(lq), ad.constant(ipr_state), collect=acts)
         l_rec = ad.mean(ad.abs_(pred - ad.constant(gt)))
 
-        if fx.gate_open(t_idx, config.t_max):
+        if fx.gate_open(t_idx, T_MAX):
             gate_hits += 1
             t_acts = {}
             with ad.no_grad():
                 teacher_side.forward(ad.constant(lq), ad.constant(feats.f_rex[idx]), collect=t_acts)
-            l_flex = fx.flex_loss(t_acts, acts, t_idx, config.t_max)
+            l_flex = fx.flex_loss(t_acts, acts, t_idx, T_MAX)
         else:
             l_flex = ad.constant(0.0)
 
@@ -540,20 +535,19 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
                     vel_nets[key], (zv, ad.constant(f_all[idx]), ad.constant(c_all[idx])), loop)
 
         total = l_rec + config.lambda_flex * l_flex \
-            + config.lambda_vel * (l_vel["rex"] + l_vel["img"])
+            + LAMBDA_VEL * (l_vel["rex"] + l_vel["img"])
         comps = {"total": total.item(), "rec": l_rec.item(), "flex": l_flex.item(),
                  "vel_rex": l_vel["rex"].item(), "vel_img": l_vel["img"].item(),
-                 "holdout_l1": float("nan"), "gate_frac": gate_hits / (it + 1)}
+                 "gate_frac": gate_hits / (it + 1)}
 
         opt.zero_grad()
         total.backward()
         opt.step()
 
         if it % config.log_interval == 0 or it == config.phase2_iters - 1:
-            comps = dict(comps)
             comps["holdout_l1"] = holdout_metric()
             fmse = _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx])
-            records.append(MetricsRecord(it, comps, fmse, float("nan"), config.t_max))
+            records.append(MetricsRecord(it, comps, fmse, float("nan"), T_MAX))
 
     summary = {
         "initial_holdout_l1": initial_holdout,
@@ -565,7 +559,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
 
 def phase2_loss_total(components: dict, config: ExperimentConfig) -> float:
     return (components["rec"] + config.lambda_flex * components["flex"]
-            + config.lambda_vel * (components["vel_rex"] + components["vel_img"]))
+            + LAMBDA_VEL * (components["vel_rex"] + components["vel_img"]))
 
 
 # -- DDIM baseline training ------------------------------------------------------------
@@ -574,14 +568,14 @@ def train_ddim_baseline(exp: Experiment):
     """Epsilon-prediction net on the squared-cosine schedule over the image
     feature stream; same architecture as a phase-1 predictor, with a larger
     iteration budget to offset the extra gradient signal the velocity nets
-    receive from the distillation and trajectory terms. Betas are clipped at
-    ddim_max_beta so the terminal signal level stays non-degenerate at T=50
-    (the x0 reconstruction divides by sqrt(alpha_bar))."""
+    receive from the distillation and trajectory terms. The schedule is
+    DDIM_ALPHA_BARS, whose betas are clipped at 0.1 so the terminal signal
+    level stays non-degenerate at T=50 (the x0 reconstruction divides by
+    sqrt(alpha_bar))."""
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = len(exp.data)
-    T = config.ddim_train_steps
-    alpha_bars = rf.cosine_alpha_bars(T, max_beta=config.ddim_max_beta)
+    T = len(DDIM_ALPHA_BARS)
     net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim, t_max=T - 1,
                                prefix="ddim")
     opt = Adam(net.params(), config.lr_img)
@@ -593,7 +587,7 @@ def train_ddim_baseline(exp: Experiment):
         c = feats.c_img[idx]
         t = loop.integers(0, T, (config.batch_size,))
         eps = loop.normal((config.batch_size, config.feature_dim))
-        ab = alpha_bars[t].reshape(-1, 1)
+        ab = DDIM_ALPHA_BARS[t].reshape(-1, 1)
         x_t = np.sqrt(ab) * f + np.sqrt(1.0 - ab) * eps
         pred = net.forward(ad.constant(x_t), t, ad.constant(c))
         d = pred - ad.constant(eps)
@@ -602,7 +596,6 @@ def train_ddim_baseline(exp: Experiment):
         loss.backward()
         opt.step()
     net.trained = True
-    net.alpha_bars = alpha_bars
     return net
 
 
@@ -642,8 +635,7 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
                 x = _sampled(rf_net, z, evals.c_img, steps)[-1]
             else:
                 with ad.no_grad():
-                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps,
-                                                ddim_net.alpha_bars).data
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps, DDIM_ALPHA_BARS).data
             wall_ms = (time.perf_counter() - t0) * 1000.0
             label = f"compare-samplers {name} steps={steps}"
             fd = _frechet(f"{label} frechet", x, mu_ref, cov_ref)
@@ -672,8 +664,7 @@ def load_phase1(config: ExperimentConfig, outdir) -> dict:
     """The velocity predictors `save_phase1` wrote under outdir, marked trained."""
     nets = {}
     for key in ("rex", "img"):
-        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, t_max=config.t_max,
-                                   prefix=f"vel_{key}")
+        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, t_max=T_MAX, prefix=f"vel_{key}")
         nn.restore_params(net.params(), nn.load_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}")))
         net.trained = True
         nets[key] = net
@@ -692,8 +683,8 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
     exp = Experiment(config)
-    student = StudentNet(nd.Rng(config.seed).derive("student-init"),
-                         config.channels, config.head_count, cond_dim=config.feature_dim)
+    student = StudentNet(nd.Rng(config.seed).derive("student-init"), config.channels,
+                         cond_dim=config.feature_dim)
     student_sum_before = params_checksum(student.params())
 
     nets, p1_records = train_phase1(exp)

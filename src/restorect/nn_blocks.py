@@ -10,6 +10,7 @@ plain-text manifest mapping param name -> file.
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 import shutil
@@ -23,6 +24,7 @@ from .autodiff import Param, Tensor
 
 TAU_BOUNDS = (1e-3, 1e3)  # wide stability clamp; never binds in practice
 FFN_EXPANSION = 2.66
+HEAD_COUNT = 2  # attention heads, each channels / HEAD_COUNT wide
 
 
 # -- spatial-channel layer normalization ---------------------------------------
@@ -60,14 +62,12 @@ class AttentionParams:
     pathway.
     """
 
-    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "attn",
-                 cond_dim: int = 256):
-        if channels % (4 * head_count) != 0:
+    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "attn", cond_dim: int = 256):
+        if channels % (4 * HEAD_COUNT) != 0:
             raise ValueError(
-                f"attention: channels={channels} not divisible by 4*head_count={4 * head_count}"
+                f"attention: channels={channels} not divisible by 4*HEAD_COUNT={4 * HEAD_COUNT}"
             )
         self.channels = channels
-        self.head_count = head_count
         self.cond_dim = cond_dim
         c_r = 3 * channels // 4
         c_i = channels // 4
@@ -103,9 +103,9 @@ def _from_tokens(t: Tensor, h: int, w: int):
     return ad.reshape(ad.transpose(t, (0, 2, 1)), (b, c, h, w))
 
 
-def _split_heads(t: Tensor, heads: int):
+def _split_heads(t: Tensor):
     b, hw, c = t.shape
-    return ad.transpose(ad.reshape(t, (b, hw, heads, c // heads)), (0, 2, 1, 3))
+    return ad.transpose(ad.reshape(t, (b, hw, HEAD_COUNT, c // HEAD_COUNT)), (0, 2, 1, 3))
 
 
 def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
@@ -120,7 +120,6 @@ def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
     if ipr.ndim != 2 or ipr.shape[1] != params.cond_dim or ipr.shape[0] != x.shape[0]:
         raise ValueError(f"attention: conditioning must be (B,{params.cond_dim}), got {ipr.shape}")
     b, c, h, w = x.shape
-    heads = params.head_count
     c_r = 3 * c // 4
     k_r = 3 * params.cond_dim // 4
 
@@ -134,10 +133,8 @@ def qk_normalized_attention(x: Tensor, ipr: Tensor, params: AttentionParams,
     kv = ad.matmul(_to_tokens(x_i), params.wkv)  # (B, HW, 2C)
     k, v = kv[:, :, :c], kv[:, :, c:]
 
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
-    d_k = c // heads
+    qh, kh, vh = _split_heads(q), _split_heads(k), _split_heads(v)
+    d_k = c // HEAD_COUNT
     qn = ad.l2_normalize(ad.layer_norm(qh, axis=-1), axis=-1)
     kn = ad.l2_normalize(ad.layer_norm(kh, axis=-1), axis=-1)
 
@@ -160,13 +157,11 @@ class ToyTransformerBlock:
     is exactly the identity.
     """
 
-    def __init__(self, channels: int, head_count: int, rng: nd.Rng, prefix: str = "block",
-                 cond_dim: int = 256):
+    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "block", cond_dim: int = 256):
         self.channels = channels
         self.norm1 = SclnParams.create(channels, f"{prefix}.norm1.gamma")
         self.norm2 = SclnParams.create(channels, f"{prefix}.norm2.gamma")
-        self.attn = AttentionParams(channels, head_count, rng, prefix=f"{prefix}.attn",
-                                    cond_dim=cond_dim)
+        self.attn = AttentionParams(channels, rng, prefix=f"{prefix}.attn", cond_dim=cond_dim)
         hidden = int(round(FFN_EXPANSION * channels))
         self.w1 = Param(rng.normal((channels, hidden)) / math.sqrt(channels), f"{prefix}.ffn.w1")
         self.b1 = Param(np.zeros(hidden), f"{prefix}.ffn.b1")
@@ -400,7 +395,9 @@ def teacher_objective(pred: Tensor, gt: Tensor, r_pred: Tensor, l_pred: Tensor,
 def save_checkpoint(directory, params: dict) -> None:
     """One binary dump per param plus a manifest of name -> filename. The
     files go into a fresh sibling directory that then replaces `directory` by
-    renames, so a failed or interrupted save never mixes old and new files."""
+    renames, so a failed or interrupted save never mixes old and new files.
+    Once the new one is in place, every `<directory>.old-*` is removed: a
+    save whose process died between its two renames leaves one behind."""
     directory = os.path.abspath(directory)
     tmp, old = f"{directory}.tmp-{os.getpid()}", f"{directory}.old-{os.getpid()}"
     for stale in (tmp, old):
@@ -422,13 +419,20 @@ def save_checkpoint(directory, params: dict) -> None:
         if os.path.isdir(old) and not os.path.exists(directory):
             os.rename(old, directory)  # the swap-in failed: put the previous checkpoint back
         raise
-    shutil.rmtree(old, ignore_errors=True)
+    for stale in glob.glob(glob.escape(directory) + ".old-*"):
+        shutil.rmtree(stale, ignore_errors=True)
 
 
 def load_checkpoint(directory) -> dict:
+    """The arrays saved at `directory`. Where a save died between its two
+    renames there is no `directory`, and a lone `<directory>.old-*` is read."""
     manifest = os.path.join(directory, "manifest.txt")
     if not os.path.exists(manifest):
-        raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
+        previous = glob.glob(glob.escape(os.path.abspath(directory)) + ".old-*/manifest.txt")
+        if len(previous) != 1:
+            raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
+        manifest = previous[0]
+        directory = os.path.dirname(manifest)
     out = {}
     with open(manifest, "r", encoding="utf-8") as fh:
         for line in fh:

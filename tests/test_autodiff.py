@@ -120,6 +120,16 @@ def test_transpose_negative_axes_gradient_matches_positive_axes():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
+@pytest.mark.parametrize("reduce", [ad.sum_, ad.mean])
+@pytest.mark.parametrize("axes", [5, -4, (0, 5), (0, -3)])
+def test_reductions_reject_axes_numpy_rejects(reduce, axes):
+    x = np.ones((2, 3, 4))
+    with pytest.raises(ValueError):  # out of range, or axis 0 named twice
+        np.sum(x, axis=axes)
+    with pytest.raises(ValueError, match="out of range or repeated"):
+        reduce(ad.constant(x), axes=axes)
+
+
 def test_fd_sqrt_and_power():
     for seed in range(10):
         rng = nd.Rng(seed)

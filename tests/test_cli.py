@@ -13,7 +13,7 @@ from restorect import distill_harness as dh
 def small_config_file(tmp_path, **overrides):
     cfg = dict(seed=7, phase1_iters=25, phase2_iters=20, dataset_size=10,
                holdout_size=4, batch_size=4, log_interval=10, compare_count=24,
-               ddim_iters=25, image_size=8, channels=8, head_count=2)
+               ddim_iters=25, image_size=8, channels=8)
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -135,13 +135,6 @@ def test_non_default_feature_dim_runs(tmp_path):
         assert cli.main([command, "--config", config, "--out", str(tmp_path / "run")]) == 0
 
 
-def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
-    for t_max in (0, 6):
-        config = small_config_file(tmp_path, t_max=t_max)
-        assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
-        assert "t_max" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command,bad", [("distill", {"holdout_size": -2}),
                                          ("distill", {"phase1_iters": 0}),
                                          ("train-phase1", {"phase1_iters": 0}),
@@ -149,7 +142,8 @@ def test_t_max_outside_sampler_range_exits_1(tmp_path, capsys):
                                          ("compare-samplers", {"ddim_iters": 0}),
                                          ("compare-samplers", {"sampler_steps": []}),
                                          ("distill", {"phase2_iters": 0}),
-                                         ("train-phase2", {"phase2_iters": 0})])
+                                         ("train-phase2", {"phase2_iters": 0}),
+                                         ("distill", {"holdout_size": 0})])
 def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, command, bad):
     # the config rejects these values when it is built, before any training
     monkeypatch.setattr(dh, "train_phase1", lambda exp: pytest.fail("phase 1 ran"))

@@ -14,7 +14,7 @@ from restorect import nn_blocks as nn
 def small_config(**overrides):
     base = dict(seed=7, phase1_iters=40, phase2_iters=30, dataset_size=12,
                 holdout_size=4, batch_size=4, log_interval=10, compare_count=32,
-                ddim_iters=40, image_size=8, channels=8, head_count=2)
+                ddim_iters=40, image_size=8, channels=8)
     base.update(overrides)
     return dh.ExperimentConfig(**base)
 
@@ -32,6 +32,12 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="unknown keys"):
         dh.load_config(path)
+    # fixed by the method (module constants), so a config cannot set them
+    for removed in ("lambda_kd", "lambda_traj", "lambda_vel", "lr_phase2", "t_max",
+                    "ddim_train_steps", "ddim_max_beta", "head_count"):
+        path.write_text(json.dumps({removed: 1}))
+        with pytest.raises(ValueError, match=f"unknown keys \\['{removed}'\\]"):
+            dh.load_config(path)
 
 
 def test_config_partial_file_uses_defaults(tmp_path):
@@ -39,17 +45,15 @@ def test_config_partial_file_uses_defaults(tmp_path):
     path.write_text('{"seed": 5, "phase1_iters": 10}')
     cfg = dh.load_config(path)
     assert cfg.seed == 5 and cfg.phase1_iters == 10
-    assert cfg.lr_rex == 2e-4 and cfg.lr_phase2 == 1e-4
-    assert cfg.lambda_flex == 0.15 and cfg.lambda_vel == 0.05
+    assert cfg.lr_rex == 2e-4
+    assert cfg.lambda_flex == 0.15
 
 
 def test_config_validation():
-    # t_max bounds every sampler trajectory, so it shares the [1,5] step range
     for bad in ({"lr_rex": 0.0}, {"image_size": 10}, {"sampler_steps": [0, 3]},
-                {"t_max": 0}, {"t_max": 6}, {"holdout_size": -2}, {"log_interval": 0},
-                {"head_count": 0}, {"dataset_size": 0}, {"sampler_steps": [2.5]},
-                {"compare_count": 1}, {"ddim_train_steps": 1}, {"image_size": 0},
-                {"channels": 0}, {"phase1_iters": 0}, {"ddim_iters": 0},
+                {"holdout_size": -2}, {"holdout_size": 0}, {"log_interval": 0},
+                {"dataset_size": 0}, {"sampler_steps": [2.5]}, {"compare_count": 1},
+                {"image_size": 0}, {"channels": 0}, {"phase1_iters": 0}, {"ddim_iters": 0},
                 {"sampler_steps": []}, {"phase2_iters": 0}):
         (field,) = bad
         with pytest.raises(ValueError, match=field):
@@ -192,8 +196,8 @@ def test_phase1_components_sum_to_total():
 def test_phase2_requires_trained_nets():
     cfg = small_config()
     untrained = {
-        "rex": nn.VelocityPredictor(nd.Rng(0), cfg.feature_dim, t_max=cfg.t_max),
-        "img": nn.VelocityPredictor(nd.Rng(1), cfg.feature_dim, t_max=cfg.t_max),
+        "rex": nn.VelocityPredictor(nd.Rng(0), cfg.feature_dim, t_max=dh.T_MAX),
+        "img": nn.VelocityPredictor(nd.Rng(1), cfg.feature_dim, t_max=dh.T_MAX),
     }
     with pytest.raises(ValueError, match="trained"):
         dh.train_phase2(dh.Experiment(cfg), untrained)
@@ -276,7 +280,7 @@ def test_compare_samplers_deterministic_result_csv(small_run, tmp_path):
 def test_compare_samplers_rejects_untrained(small_run):
     exp, nets, _ = small_run
     fresh = nn.VelocityPredictor(nd.Rng(0), exp.config.feature_dim,
-                                 t_max=exp.config.ddim_train_steps - 1)
+                                 t_max=len(dh.DDIM_ALPHA_BARS) - 1)
     with pytest.raises(ValueError, match="trained"):
         dh.compare_samplers(exp, nets["img"], fresh)
 
@@ -293,7 +297,6 @@ class ConstantNet:
     def __init__(self, value, t_max=4):
         self.value = value
         self.t_max = t_max
-        self.alpha_bars = np.linspace(0.99, 0.5, t_max + 1)
 
     def forward(self, x_t, t, c):
         return ad.constant(np.full(x_t.shape, self.value))
@@ -324,9 +327,8 @@ def test_probe_metrics_raise_naming_the_metric_on_a_finite_but_huge_net_output()
     z = nd.Rng(0).normal((4, exp.config.feature_dim))
     idx = np.arange(4)
     _raises_naming("phase1 feature_mse",
-                   lambda: dh._feature_mse(nets, exp.feats, idx, z, z, exp.config.t_max))
-    _raises_naming("phase1 frechet",
-                   lambda: dh._frechet_probe(nets, exp.feats, z, exp.config.t_max))
+                   lambda: dh._feature_mse(nets, exp.feats, idx, z, z))
+    _raises_naming("phase1 frechet", lambda: dh._frechet_probe(nets, exp.feats, z))
     _raises_naming("compare-samplers rf steps=1 frechet",
                    lambda: dh.compare_samplers(exp, nets["img"], ConstantNet(1e200, t_max=49)))
     _raises_naming("phase2 feature_mse",

@@ -96,7 +96,7 @@ def manual_v_projection(x, ipr, params):
 
 def test_attention_single_token_is_projected_v():
     rng = nd.Rng(3)
-    params = nn.AttentionParams(8, 2, rng.derive("p"))
+    params = nn.AttentionParams(8, rng.derive("p"))
     x = rng.normal((2, 8, 1, 1))
     ipr = rng.normal((2, 256))
     out, weights = nn.qk_normalized_attention(ad.constant(x), ad.constant(ipr), params,
@@ -107,7 +107,7 @@ def test_attention_single_token_is_projected_v():
 
 def test_attention_identical_keys_split_evenly():
     rng = nd.Rng(4)
-    params = nn.AttentionParams(8, 2, rng.derive("p"))
+    params = nn.AttentionParams(8, rng.derive("p"))
     x = rng.normal((1, 8, 1, 2))
     x[:, 6:, :, :] = 0.37  # illumination channels constant -> identical keys
     ipr = rng.normal((1, 256))
@@ -118,11 +118,11 @@ def test_attention_identical_keys_split_evenly():
 
 def test_attention_channel_divisibility_error():
     with pytest.raises(ValueError):
-        nn.AttentionParams(10, 2, nd.Rng(0))
+        nn.AttentionParams(10, nd.Rng(0))
 
 
 def test_attention_conditioning_shape_error():
-    params = nn.AttentionParams(8, 2, nd.Rng(0))
+    params = nn.AttentionParams(8, nd.Rng(0))
     with pytest.raises(ValueError):
         nn.qk_normalized_attention(ad.constant(np.zeros((1, 8, 2, 2))),
                                    ad.constant(np.zeros((1, 128))), params)
@@ -132,20 +132,20 @@ def test_attention_conditioning_shape_error():
 
 def test_block_preserves_shape():
     rng = nd.Rng(6)
-    block = nn.ToyTransformerBlock(16, 2, rng.derive("b"))
+    block = nn.ToyTransformerBlock(16, rng.derive("b"))
     x = rng.normal((1, 16, 8, 8))
     out = block.forward(ad.constant(x), ad.constant(rng.normal((1, 256))))
     assert out.shape == (1, 16, 8, 8)
 
 
 def test_block_ffn_expansion_factor():
-    block = nn.ToyTransformerBlock(16, 2, nd.Rng(0))
+    block = nn.ToyTransformerBlock(16, nd.Rng(0))
     assert block.w1.data.shape == (16, int(round(2.66 * 16)))
 
 
 def test_block_gradient_fd():
     rng = nd.Rng(7)
-    block = nn.ToyTransformerBlock(8, 2, rng.derive("b"))
+    block = nn.ToyTransformerBlock(8, rng.derive("b"))
     x = ad.Param(rng.normal((1, 8, 4, 4)), "x")
     ipr = ad.Param(rng.normal((1, 256)), "ipr")
     probe = ad.constant(rng.normal((1, 8, 4, 4)))
@@ -436,4 +436,23 @@ def test_failed_swap_in_puts_the_previous_checkpoint_back(tmp_path, monkeypatch)
     assert after.keys() == before.keys()
     for name in before:
         assert after[name].tobytes() == before[name].tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_crash_between_the_two_renames_loads_and_then_clears_the_previous_checkpoint(tmp_path):
+    net = nn.VelocityPredictor(nd.Rng(25), feature_dim=8)
+    params = net.params()
+    nn.save_checkpoint(tmp_path / "ckpt", params)
+    before = nn.load_checkpoint(tmp_path / "ckpt")
+    # what a process that dies after its first rename leaves behind
+    (tmp_path / "ckpt").rename(tmp_path / "ckpt.old-4242")
+    loaded = nn.load_checkpoint(tmp_path / "ckpt")
+    assert loaded.keys() == before.keys()
+    for name in before:
+        assert loaded[name].tobytes() == before[name].tobytes()
+    for p in params.values():
+        p.data[...] += 1.0
+    nn.save_checkpoint(tmp_path / "ckpt", params)
+    for name, arr in nn.load_checkpoint(tmp_path / "ckpt").items():
+        assert arr.tobytes() == params[name].data.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
