@@ -24,7 +24,7 @@ def main():
         d = y - target
         return ad.mean(d * d) + 0.01 * ad.sum_(ad.abs_(w))
 
-    report = ad.fd_check(loss, [w, b], h=1e-5, tol=1e-4)
+    report = ad.fd_check(loss, [w, b])
     print(report.summary())
     print("all gradients verified" if report.passed else "MISMATCH FOUND")
 

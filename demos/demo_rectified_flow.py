@@ -10,7 +10,7 @@ from restorect import autodiff as ad
 from restorect import ndtensor as nd
 from restorect import nn_blocks as nn
 from restorect import rectflow as rf
-from restorect.distill_harness import Adam
+from restorect.distill_harness import T_MAX, Adam
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
         z = r.normal((n, dim))
         return z, f, c
 
-    net = nn.VelocityPredictor(rng.derive("net"), feature_dim=dim)
+    net = nn.VelocityPredictor(rng.derive("net"), feature_dim=dim, t_max=T_MAX)
     opt = Adam(net.params(), 2e-3)
     loop = rng.derive("loop")
     for it in range(400):

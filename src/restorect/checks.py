@@ -201,7 +201,7 @@ def fd_decomposition(seed):
 @fd_case("fd_velocity_predictor", max_entries=6)
 def fd_velocity(seed):
     rng = nd.Rng(seed)
-    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, t_max=4)
     x = ad.Param(rng.normal((2, 8)), "x")
     c = ad.Param(rng.normal((2, 8)), "c")
     probe = ad.constant(rng.normal((2, 8)))
@@ -284,7 +284,7 @@ def fd_loss_col(seed):
 @fd_case("fd_loss_vel", max_entries=6)
 def fd_loss_vel(seed):
     rng = nd.Rng(seed)
-    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6)
+    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, t_max=4)
     z = ad.constant(rng.normal((3, 6)))
     f_t = ad.constant(rng.normal((3, 6)))
     c = ad.constant(rng.normal((3, 6)))
@@ -593,7 +593,6 @@ def inv_frechet():
 
 @check("inv_ddim_oracle_recovery")
 def inv_ddim():
-    alpha_bars = rfl.cosine_alpha_bars(50, max_beta=0.1)
     rng = nd.Rng(18)
     x0 = rng.normal((2, 5))
 
@@ -601,12 +600,12 @@ def inv_ddim():
         t_max = 49
 
         def forward(self, x, t, c):
-            ab = alpha_bars[int(t)]
+            ab = rfl.DDIM_ALPHA_BARS[int(t)]
             return ad.constant((x.data - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab))
 
     z = ad.constant(rng.normal((2, 5)))
     c = ad.constant(np.zeros((2, 5)))
-    out = rfl.ddim_baseline_sample(Oracle(), z, c, 5, alpha_bars)
+    out = rfl.ddim_baseline_sample(Oracle(), z, c, 5)
     err = np.abs(out.data - x0).max()
     return bool(err < 1e-9), f"recovery err {err:.2e}"
 

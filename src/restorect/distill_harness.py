@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-import zlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,15 +36,23 @@ class TrainingDiverged(RuntimeError):
 
 
 # Fixed by the method, not by a run's config: the phase-1 distillation and
-# trajectory weights, the phase-2 velocity weight and learning rate, the
-# sampler trajectory length, and the DDIM baseline's 50-step squared-cosine
-# schedule with betas clipped at 0.1.
+# trajectory weights, the phase-2 velocity weight and learning rate, and the
+# sampler trajectory length (the DDIM schedule is rf.DDIM_ALPHA_BARS).
 LAMBDA_KD = 1.0
 LAMBDA_TRAJ = 1.0
 LAMBDA_VEL = 0.05
 LR_PHASE2 = 1e-4
 T_MAX = 4
-DDIM_ALPHA_BARS = rf.cosine_alpha_bars(50, max_beta=0.1)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each ExperimentConfig annotation admits. JSON passes any number or a
+# bool for any field, and a float count or seed would be truncated later.
+_ADMITS = {"int": _is_int, "float": lambda v: _is_int(v) or isinstance(v, float),
+           "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v))}
 
 
 @dataclass
@@ -58,7 +65,7 @@ class ExperimentConfig:
     lr_rex: float = 2e-4
     lr_img: float = 2e-4
     lambda_flex: float = 0.15
-    sampler_steps: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
+    sampler_steps: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     image_size: int = 16
     channels: int = 16
     dataset_size: int = 64
@@ -68,6 +75,9 @@ class ExperimentConfig:
     compare_count: int = 512
 
     def __post_init__(self):
+        for f in fields(self):
+            if not _ADMITS[f.type](value := getattr(self, f.name)):
+                raise ValueError(f"config: {f.name} must be of type {f.type}, got {value!r}")
         for name in ("lr_rex", "lr_img"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config: {name} must be positive")
@@ -126,7 +136,8 @@ class Adam:
     """Adaptive-moment optimizer with momentum terms (0.9, 0.999); param
     clamp bounds are re-applied after every step. A step whose second moment
     is no longer finite (a non-finite gradient entry, or g*g overflowing)
-    raises TrainingDiverged naming the param."""
+    raises TrainingDiverged naming the param, before its update is written,
+    so the param keeps its last finite value."""
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
@@ -153,19 +164,10 @@ class Adam:
             m += (1.0 - self.b1) * g
             v *= self.b2
             v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.apply_bounds()
             if not nd.all_finite(v):
                 raise TrainingDiverged(f"adam: second moment of {k} is not finite at step {self.t}")
-
-
-def params_checksum(params: dict) -> int:
-    """Order-independent-by-name crc over the raw param bytes."""
-    crc = 0
-    for name in sorted(params):
-        crc = zlib.crc32(params[name].data.tobytes(), crc)
-        crc = zlib.crc32(name.encode("utf-8"), crc)
-    return crc
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.apply_bounds()
 
 
 # -- synthetic data ---------------------------------------------------------------
@@ -238,9 +240,7 @@ class SyntheticTeacher:
     Deterministic: the same images always map to the same features.
     """
 
-    def __init__(self, rng: nd.Rng, image_size: int = 16, feature_dim: int = 256):
-        self.image_size = image_size
-        self.feature_dim = feature_dim
+    def __init__(self, rng: nd.Rng, image_size: int, feature_dim: int):
         c_in = 6 * 4  # lq+gt stacked, then unshuffled by 2
         self.w1 = rng.normal((32, c_in, 3, 3)) * math.sqrt(2.0 / (c_in * 9))
         self.w2 = rng.normal((32, 32, 3, 3)) * math.sqrt(2.0 / (32 * 9))
@@ -326,8 +326,7 @@ class StudentNet:
     conditioned transformer block, 3x3 head conv back to rgb with a global
     residual onto the degraded input."""
 
-    def __init__(self, rng: nd.Rng, channels: int = 16, prefix: str = "student", cond_dim: int = 256):
-        self.channels = channels
+    def __init__(self, rng: nd.Rng, channels: int, cond_dim: int, prefix: str = "student"):
         self.stem_w = Param(rng.normal((channels, 3, 3, 3)) * math.sqrt(2.0 / 27), f"{prefix}.stem.w")
         self.stem_b = Param(np.zeros(channels), f"{prefix}.stem.b")
         self.block = nn.ToyTransformerBlock(channels, rng, prefix=f"{prefix}.block", cond_dim=cond_dim)
@@ -569,13 +568,11 @@ def train_ddim_baseline(exp: Experiment):
     feature stream; same architecture as a phase-1 predictor, with a larger
     iteration budget to offset the extra gradient signal the velocity nets
     receive from the distillation and trajectory terms. The schedule is
-    DDIM_ALPHA_BARS, whose betas are clipped at 0.1 so the terminal signal
-    level stays non-degenerate at T=50 (the x0 reconstruction divides by
-    sqrt(alpha_bar))."""
+    rf.DDIM_ALPHA_BARS, the one the sampler reads."""
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = len(exp.data)
-    T = len(DDIM_ALPHA_BARS)
+    T = len(rf.DDIM_ALPHA_BARS)
     net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim, t_max=T - 1,
                                prefix="ddim")
     opt = Adam(net.params(), config.lr_img)
@@ -587,7 +584,7 @@ def train_ddim_baseline(exp: Experiment):
         c = feats.c_img[idx]
         t = loop.integers(0, T, (config.batch_size,))
         eps = loop.normal((config.batch_size, config.feature_dim))
-        ab = DDIM_ALPHA_BARS[t].reshape(-1, 1)
+        ab = rf.DDIM_ALPHA_BARS[t].reshape(-1, 1)
         x_t = np.sqrt(ab) * f + np.sqrt(1.0 - ab) * eps
         pred = net.forward(ad.constant(x_t), t, ad.constant(c))
         d = pred - ad.constant(eps)
@@ -635,7 +632,7 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
                 x = _sampled(rf_net, z, evals.c_img, steps)[-1]
             else:
                 with ad.no_grad():
-                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps, DDIM_ALPHA_BARS).data
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps).data
             wall_ms = (time.perf_counter() - t0) * 1000.0
             label = f"compare-samplers {name} steps={steps}"
             fd = _frechet(f"{label} frechet", x, mu_ref, cov_ref)
@@ -683,15 +680,8 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
     exp = Experiment(config)
-    student = StudentNet(nd.Rng(config.seed).derive("student-init"), config.channels,
-                         cond_dim=config.feature_dim)
-    student_sum_before = params_checksum(student.params())
-
     nets, p1_records = train_phase1(exp)
-    if params_checksum(student.params()) != student_sum_before:
-        raise RuntimeError("phase-1 freeze violated: student params changed")
-
-    student, p2_records, p2_summary = train_phase2(exp, nets, student=student)
+    student, p2_records, p2_summary = train_phase2(exp, nets)
 
     summary = {
         "phase1_initial_vel": p1_records[0].components["vel_rex"] + p1_records[0].components["vel_img"],

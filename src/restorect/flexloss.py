@@ -11,8 +11,6 @@ threshold.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import autodiff as ad
@@ -62,14 +60,9 @@ def cross_normalize(teach: Tensor, stud: Tensor):
 def outlier_mask(stud_n: Tensor, p: float) -> np.ndarray:
     """0/1 mask keeping positions where |stud_n| does not exceed the
     per-channel nearest-rank p-percentile (ties at the threshold included)."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"outlier_mask: p must lie in (0,1], got {p}")
     a = np.abs(stud_n.data if isinstance(stud_n, Tensor) else np.asarray(stud_n))
-    b, c, h, w = a.shape
-    per_channel = np.sort(a.transpose(1, 0, 2, 3).reshape(c, -1), axis=1)
-    n = b * h * w
-    k = math.ceil(p * n)
-    tau = per_channel[:, k - 1]
+    c = a.shape[1]
+    tau = nd.percentile_abs(a.transpose(1, 0, 2, 3).reshape(c, -1), p)
     return (a <= tau.reshape(1, c, 1, 1)).astype(np.float64)
 
 

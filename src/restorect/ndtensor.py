@@ -122,16 +122,17 @@ def mean_std(x: np.ndarray, axes=None) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.sqrt(var)
 
 
-def percentile_abs(x: np.ndarray, p: float) -> float:
-    """Nearest-rank percentile of |x|: sort ascending, take index ceil(p*N)-1."""
+def percentile_abs(x: np.ndarray, p: float):
+    """Nearest-rank percentile of |x| along the last axis: sort ascending,
+    take index ceil(p*N)-1. A 1-d input gives a float, a 2-d input one value
+    per row."""
     if not (0.0 < p <= 1.0):
         raise ValueError(f"percentile_abs: p must lie in (0, 1], got {p}")
-    flat = np.sort(np.abs(np.asarray(x, dtype=np.float64)).ravel())
-    n = flat.size
-    if n == 0:
-        raise ValueError("percentile_abs: empty input")
-    k = math.ceil(p * n)
-    return float(flat[k - 1])
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError(f"percentile_abs: expected a non-empty 1-d or 2-d input, got {x.shape}")
+    tau = np.sort(np.abs(x), axis=-1)[..., math.ceil(p * x.shape[-1]) - 1]
+    return float(tau) if x.ndim == 1 else tau
 
 
 def pixel_unshuffle(x: np.ndarray, factor: int) -> np.ndarray:

@@ -158,7 +158,6 @@ class ToyTransformerBlock:
     """
 
     def __init__(self, channels: int, rng: nd.Rng, prefix: str = "block", cond_dim: int = 256):
-        self.channels = channels
         self.norm1 = SclnParams.create(channels, f"{prefix}.norm1.gamma")
         self.norm2 = SclnParams.create(channels, f"{prefix}.norm2.gamma")
         self.attn = AttentionParams(channels, rng, prefix=f"{prefix}.attn", cond_dim=cond_dim)
@@ -253,7 +252,6 @@ class FeatureExtractor:
         self.w1 = w(8, in_channels)
         self.w2 = w(12, 8 * 4)
         self.w3 = w(16, 12 * 4)
-        self.layer_count = 3
 
     def features(self, x: Tensor) -> list:
         x = ad.constant(x)
@@ -307,7 +305,7 @@ class VelocityPredictor:
 
     N_BLOCKS = 5
 
-    def __init__(self, rng: nd.Rng, feature_dim: int = 256, t_max: int = 4, prefix: str = "vel"):
+    def __init__(self, rng: nd.Rng, feature_dim: int = 256, *, t_max: int, prefix: str = "vel"):
         self.feature_dim = feature_dim
         self.t_max = t_max
         self.trained = False

@@ -5,7 +5,9 @@ sampler for step-count comparisons.
 Time runs from 0 (noise) to 1 (data). The velocity predictor takes a
 discrete timestep on the 0..t_max grid; continuous times are mapped onto it
 by rounding, reconciling continuous-time interpolation with the discrete
-time input. Both samplers take a plain step count, `steps`, in [1,5].
+time input. Both samplers take (B, D) batches and a plain step count,
+`steps`, in [1,5]; the DDIM baseline runs on the method's one schedule,
+`DDIM_ALPHA_BARS`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ def _sampler_steps(steps) -> int:
     if steps not in range(1, 6):
         raise ValueError(f"sampler steps must be an integer in [1,5], got {steps}")
     return int(steps)
-
-
-def _as_batch(x) -> Tensor:
-    x = ad.constant(x)
-    return ad.reshape(x, (1, -1)) if x.ndim == 1 else x
 
 
 def interpolate(z, f_teach, t) -> Tensor:
@@ -67,7 +64,7 @@ def velocity_matching_loss(net, batch, rng: nd.Rng) -> Tensor:
 
     `batch` is (z, f_teach, c), each (B, D).
     """
-    z, f_teach, c = (_as_batch(v) for v in batch)
+    z, f_teach, c = (ad.constant(v) for v in batch)
     if z.shape[0] == 0:
         raise ValueError("velocity_matching_loss: empty batch")
     if z.shape != f_teach.shape or z.shape[0] != c.shape[0]:
@@ -87,8 +84,7 @@ def euler_sample(net, z, c, steps: int):
     states x^1..x^N; the net is called exactly `steps` times.
     """
     steps = _sampler_steps(steps)
-    x = _as_batch(z)
-    c = _as_batch(c)
+    x, c = ad.constant(z), ad.constant(c)
     dt = 1.0 / steps
     trajectory = []
     for i in range(steps):
@@ -107,8 +103,8 @@ def trajectory_consistency_loss(trajectory, f_teach) -> Tensor:
     """
     if len(trajectory) == 0:
         raise ValueError("trajectory_consistency_loss: empty trajectory")
-    states = [_as_batch(s) for s in trajectory]
-    f = _as_batch(f_teach)
+    states = [ad.constant(s) for s in trajectory]
+    f = ad.constant(f_teach)
 
     def sq_norm(v):  # (B,D) -> (B,)
         return ad.sum_(v * v, axes=1)
@@ -132,7 +128,7 @@ def trajectory_consistency_loss(trajectory, f_teach) -> Tensor:
 COSINE_OFFSET = 0.008  # the schedule's small offset s
 
 
-def cosine_alpha_bars(T: int = 50, max_beta: float = 0.999) -> np.ndarray:
+def cosine_alpha_bars(T: int, max_beta: float) -> np.ndarray:
     """Cumulative signal levels for the squared-cosine noise schedule, with
     per-step betas clipped to max_beta so alpha_bar stays strictly positive."""
     def f(u):
@@ -144,24 +140,28 @@ def cosine_alpha_bars(T: int = 50, max_beta: float = 0.999) -> np.ndarray:
     return np.cumprod(1.0 - betas)
 
 
+# The DDIM baseline's schedule. Betas clipped at 0.1 keep the terminal signal
+# level non-degenerate at T=50: the x0 reconstruction divides by sqrt(alpha_bar).
+DDIM_ALPHA_BARS = cosine_alpha_bars(50, max_beta=0.1)
+
+
 def ddim_timesteps(T: int, steps: int) -> np.ndarray:
     """Uniformly strided descending timesteps from T-1 to 0."""
     return np.unique(np.linspace(T - 1, 0, steps).round().astype(np.int64))[::-1]
 
 
-def ddim_baseline_sample(noise_net, z, c, steps: int, alpha_bars: np.ndarray) -> Tensor:
+def ddim_baseline_sample(noise_net, z, c, steps: int) -> Tensor:
     """Deterministic DDIM update over `steps` (in [1,5]) strided timesteps of
-    an epsilon-prediction net trained on the given schedule. The step below
-    the lowest timestep treats alpha_bar as 1, i.e. the final update lands on
-    the predicted clean sample."""
+    an epsilon-prediction net trained on DDIM_ALPHA_BARS. The step below the
+    lowest timestep treats alpha_bar as 1, i.e. the final update lands on the
+    predicted clean sample."""
     steps = _sampler_steps(steps)
-    x = _as_batch(z)
-    c = _as_batch(c)
-    taus = ddim_timesteps(len(alpha_bars), steps)
+    x, c = ad.constant(z), ad.constant(c)
+    taus = ddim_timesteps(len(DDIM_ALPHA_BARS), steps)
     for j, tau in enumerate(taus):
         eps_hat = noise_net.forward(x, int(tau), c)
-        ab = float(alpha_bars[tau])
+        ab = float(DDIM_ALPHA_BARS[tau])
         x0_hat = (x - math.sqrt(1.0 - ab) * eps_hat) * (1.0 / math.sqrt(ab))
-        ab_next = float(alpha_bars[taus[j + 1]]) if j + 1 < len(taus) else 1.0
+        ab_next = float(DDIM_ALPHA_BARS[taus[j + 1]]) if j + 1 < len(taus) else 1.0
         x = math.sqrt(ab_next) * x0_hat + math.sqrt(1.0 - ab_next) * eps_hat
     return x

@@ -122,7 +122,7 @@ def test_operator_gradient_fd():
         def f():
             return ad.mean(ani.anisotropic_operator(x, params) * probe)
 
-        report = ad.fd_check(f, [x, params.s], h=1e-5, tol=1e-4)
+        report = ad.fd_check(f, [x, params.s])
         assert report.passed, report.summary()
 
 
@@ -159,7 +159,7 @@ def test_texture_loss_sensitivity_gets_gradient():
     def f():
         return ani.texture_loss(a, b, params)
 
-    report = ad.fd_check(f, [params.s], h=1e-5, tol=1e-4)
+    report = ad.fd_check(f, [params.s])
     assert report.passed, report.summary()
     params.s.zero_grad()
     f().backward()

@@ -1,7 +1,9 @@
-"""Property tests of the reductions and transpose: over random shapes
-(0-d included), single, negative and tuple axes and `keepdims`, the forward
-equals numpy, the gradient passes `fd_check` at 1e-4, and axes numpy
-rejects are rejected. Derandomized, so every run draws the same examples."""
+"""Property tests of the reductions, transpose and the broadcasting binary
+ops: over random shapes (0-d included), single, negative and tuple axes,
+`keepdims` and broadcastable shape pairs, the forward equals numpy, the
+gradient passes `fd_check` at its gate, axes numpy rejects are rejected, and
+`_unbroadcast` sums exactly the broadcast axes. Derandomized, so every run
+draws the same examples."""
 
 import numpy as np
 import pytest
@@ -32,11 +34,11 @@ def _bad_axis(ndim):
     return st.one_of(st.integers(ndim, ndim + 3), st.integers(-ndim - 3, -ndim - 1))
 
 
-def _fd_passes(op, x_data):
-    """fd_check of sum(op(x) * probe) for a fixed random probe."""
-    x = ad.Param(x_data.copy(), "x")
-    probe = ad.constant(_values(np.shape(op(ad.constant(x_data)).data), seed=1))
-    report = ad.fd_check(lambda: ad.sum_(op(x) * probe), [x], tol=1e-4)
+def _fd_passes(op, *inputs):
+    """fd_check of sum(op(*xs) * probe) for a fixed random probe."""
+    xs = [ad.Param(x.copy(), f"x{i}") for i, x in enumerate(inputs)]
+    probe = ad.constant(_values(np.shape(op(*map(ad.constant, inputs)).data), seed=1))
+    report = ad.fd_check(lambda: ad.sum_(op(*xs) * probe), xs)
     assert report.passed, report.summary()
 
 
@@ -99,3 +101,44 @@ def test_transpose_rejects_axes_numpy_rejects(data):
         np.transpose(x, axes)
     with pytest.raises(ValueError):
         ad.transpose(ad.constant(x), axes)
+
+
+# -- broadcasting binary ops ------------------------------------------------------
+
+BINARY = {"add": (ad.add, np.add), "sub": (ad.sub, np.subtract),
+          "mul": (ad.mul, np.multiply), "div": (ad.div, np.divide)}
+PAIRS = hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3,
+                                          min_side=1, max_side=3)
+
+
+def _away_from_zero(shape):
+    """Values with magnitude in [0.5, 1.5], so a denominator stays off 0."""
+    rng = nd.Rng(2)
+    return rng.uniform(shape, 0.5, 1.5) * np.where(rng.uniform(shape) < 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@PROPERTY
+@given(pair=PAIRS)
+def test_binary_op_broadcasts_like_numpy_and_fd(name, pair):
+    ours, ref = BINARY[name]
+    a_shape, b_shape = pair.input_shapes
+    a, b = _values(a_shape), _away_from_zero(b_shape)
+    got = ours(ad.constant(a), ad.constant(b)).data
+    assert got.shape == pair.result_shape
+    np.testing.assert_array_equal(got, ref(a, b))
+    _fd_passes(ours, a, b)
+
+
+@PROPERTY
+@given(pair=PAIRS)
+def test_unbroadcast_sums_the_broadcast_axes(pair):
+    # integer-valued gradients sum exactly in any order, so the two agree bit for bit
+    grad = np.asarray(nd.Rng(3).integers(-5, 6, pair.result_shape), dtype=np.float64)
+    for shape in pair.input_shapes:
+        lead = grad.ndim - len(shape)
+        axes = tuple(range(lead)) + tuple(lead + i for i, s in enumerate(shape)
+                                          if s == 1 and grad.shape[lead + i] != 1)
+        got = ad._unbroadcast(grad, shape)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, grad.sum(axis=axes).reshape(shape))

@@ -143,7 +143,15 @@ def test_non_default_feature_dim_runs(tmp_path):
                                          ("compare-samplers", {"sampler_steps": []}),
                                          ("distill", {"phase2_iters": 0}),
                                          ("train-phase2", {"phase2_iters": 0}),
-                                         ("distill", {"holdout_size": 0})])
+                                         ("distill", {"holdout_size": 0}),
+                                         ("train-phase1", {"phase1_iters": 2.5}),
+                                         ("train-phase1", {"batch_size": 2.5}),
+                                         ("train-phase1", {"image_size": 8.0}),
+                                         ("train-phase1", {"lr_rex": "0.1"}),
+                                         ("train-phase1", {"sampler_steps": 3}),
+                                         ("train-phase1", {"seed": 1.5}),
+                                         ("train-phase1", {"seed": True}),
+                                         ("compare-samplers", {"sampler_steps": [2.0]})])
 def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, command, bad):
     # the config rejects these values when it is built, before any training
     monkeypatch.setattr(dh, "train_phase1", lambda exp: pytest.fail("phase 1 ran"))

@@ -354,6 +354,6 @@ def test_flex_gradient_fd_with_frozen_stats():
         d = tn - sn
         return (w_res / den) * ad.sum_(mask * d * d)
 
-    report = ad.fd_check(frozen_core, [stud], h=1e-5, tol=1e-4)
+    report = ad.fd_check(frozen_core, [stud])
     assert report.passed, report.summary()
 

@@ -9,6 +9,7 @@ from restorect import autodiff as ad
 from restorect import distill_harness as dh
 from restorect import ndtensor as nd
 from restorect import nn_blocks as nn
+from restorect import rectflow as rf
 
 
 def small_config(**overrides):
@@ -54,7 +55,11 @@ def test_config_validation():
                 {"holdout_size": -2}, {"holdout_size": 0}, {"log_interval": 0},
                 {"dataset_size": 0}, {"sampler_steps": [2.5]}, {"compare_count": 1},
                 {"image_size": 0}, {"channels": 0}, {"phase1_iters": 0}, {"ddim_iters": 0},
-                {"sampler_steps": []}, {"phase2_iters": 0}):
+                {"sampler_steps": []}, {"phase2_iters": 0},
+                # a value of the wrong type is refused, not truncated later
+                {"phase1_iters": 2.5}, {"batch_size": 2.5}, {"image_size": 8.0},
+                {"lr_rex": "0.1"}, {"sampler_steps": 3}, {"seed": 1.5}, {"seed": True},
+                {"lr_img": True}, {"sampler_steps": [2.0]}, {"sampler_steps": [True]}):
         (field,) = bad
         with pytest.raises(ValueError, match=field):
             dh.ExperimentConfig(**bad)
@@ -92,6 +97,7 @@ def test_adam_raises_naming_the_param_once_its_second_moment_is_not_finite(g):
     bad.grad = np.array([g, 1.0])
     with np.errstate(over="ignore"), pytest.raises(dh.TrainingDiverged, match=r"vel_rex\.w_in"):
         opt.step()
+    np.testing.assert_array_equal(bad.data, [1.0, 2.0])  # the last finite value
 
 
 # -- synthetic data --------------------------------------------------------------------
@@ -169,7 +175,7 @@ def test_teacher_features_are_bit_equal_to_the_numpy_forward(seed):
 def test_teacher_encoding_of_512_pairs_peaks_below_32_mb():
     # a one-shot pass over 512 pairs peaks at ~110 MB in the convs' im2col windows
     rng = nd.Rng(0)
-    teacher = dh.SyntheticTeacher(rng.derive("t"))
+    teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=256)
     pairs = dh.synth_dataset(rng.derive("d"), 512, 16)
     tracemalloc.start()
     try:
@@ -280,7 +286,7 @@ def test_compare_samplers_deterministic_result_csv(small_run, tmp_path):
 def test_compare_samplers_rejects_untrained(small_run):
     exp, nets, _ = small_run
     fresh = nn.VelocityPredictor(nd.Rng(0), exp.config.feature_dim,
-                                 t_max=len(dh.DDIM_ALPHA_BARS) - 1)
+                                 t_max=len(rf.DDIM_ALPHA_BARS) - 1)
     with pytest.raises(ValueError, match="trained"):
         dh.compare_samplers(exp, nets["img"], fresh)
 

@@ -162,7 +162,7 @@ def test_color_loss_gradient_fd():
         def f():
             return hvi.polarized_color_loss(pred, gt, params)
 
-        report = ad.fd_check(f, [pred, params.k], h=1e-5, tol=1e-4)
+        report = ad.fd_check(f, [pred, params.k])
         assert report.passed, report.summary()
 
 

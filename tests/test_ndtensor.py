@@ -51,6 +51,9 @@ def test_percentile_abs_examples():
     assert nd.percentile_abs(np.array([1.0, -2.0, 3.0, -4.0]), 0.95) == 4.0
     assert nd.percentile_abs(np.array([5.0]), 0.31) == 5.0
     assert nd.percentile_abs(np.zeros(3), 0.5) == 0.0
+    # a 2-d input gives one nearest-rank value per row
+    rows = nd.percentile_abs(np.array([[1.0, -2.0, 3.0, -4.0], [0.5, 0.0, -0.25, 0.0]]), 0.5)
+    np.testing.assert_array_equal(rows, [2.0, 0.0])
 
 
 def test_percentile_abs_p_one_is_max():

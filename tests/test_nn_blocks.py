@@ -50,7 +50,7 @@ def test_scln_gradient_fd():
         def f():
             return ad.mean(nn.scln(x, params) * probe)
 
-        report = ad.fd_check(f, [x, params.gamma], h=1e-5, tol=1e-4)
+        report = ad.fd_check(f, [x, params.gamma])
         assert report.passed, report.summary()
 
 
@@ -154,7 +154,7 @@ def test_block_gradient_fd():
         return ad.mean(block.forward(x, ipr) * probe)
 
     params = [x, ipr] + list(block.params().values())
-    report = ad.fd_check(f, params, h=1e-5, tol=1e-4, max_entries=12)
+    report = ad.fd_check(f, params, max_entries=12)
     assert report.passed, report.summary()
 
 
@@ -248,20 +248,19 @@ def test_perceptual_style_gradient_fd():
     pred = ad.Param(rng.uniform((1, 3, 4, 4), 0.2, 0.8), "pred")
     gt = ad.constant(rng.uniform((1, 3, 4, 4), 0.2, 0.8))
     for loss_fn in (nn.perceptual_loss, nn.style_loss):
-        report = ad.fd_check(lambda: loss_fn(pred, gt, ext), [pred], h=1e-5, tol=1e-4,
-                             max_entries=24)
+        report = ad.fd_check(lambda: loss_fn(pred, gt, ext), [pred], max_entries=24)
         assert report.passed, report.summary()
 
 
 # -- velocity predictor -----------------------------------------------------------------------
 
 def test_velocity_input_assembly_dimension():
-    net = nn.VelocityPredictor(nd.Rng(14))
+    net = nn.VelocityPredictor(nd.Rng(14), t_max=4)
     assert net.w_in.data.shape == (513, 256)  # 256 cond + 1 time + 256 state
 
 
 def test_velocity_zero_weights_zero_output():
-    net = nn.VelocityPredictor(nd.Rng(15))
+    net = nn.VelocityPredictor(nd.Rng(15), t_max=4)
     for p in net.params().values():
         p.data[...] = 0.0
     rng = nd.Rng(16)
@@ -270,7 +269,7 @@ def test_velocity_zero_weights_zero_output():
 
 
 def test_velocity_timestep_range():
-    net = nn.VelocityPredictor(nd.Rng(17))
+    net = nn.VelocityPredictor(nd.Rng(17), t_max=4)
     rng = nd.Rng(18)
     x = ad.constant(rng.normal((1, 256)))
     c = ad.constant(rng.normal((1, 256)))
@@ -284,7 +283,7 @@ def test_velocity_timestep_range():
 
 def test_velocity_gradient_fd():
     rng = nd.Rng(19)
-    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, t_max=4)
     x = ad.Param(rng.normal((2, 8)), "x")
     c = ad.Param(rng.normal((2, 8)), "c")
     probe = ad.constant(rng.normal((2, 8)))
@@ -293,7 +292,7 @@ def test_velocity_gradient_fd():
         return ad.mean(net.forward(x, 1, c) * probe)
 
     params = [x, c] + list(net.params().values())
-    report = ad.fd_check(f, params, h=1e-5, tol=1e-4, max_entries=10)
+    report = ad.fd_check(f, params, max_entries=10)
     assert report.passed, report.summary()
 
 
@@ -357,7 +356,7 @@ def test_teacher_objective_component_scaling():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = nd.Rng(20)
-    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8)
+    net = nn.VelocityPredictor(rng.derive("v"), feature_dim=8, t_max=4)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", params)
     originals = {k: p.data.copy() for k, p in params.items()}
@@ -369,14 +368,14 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_missing_param_error(tmp_path):
-    net = nn.VelocityPredictor(nd.Rng(21), feature_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(21), feature_dim=8, t_max=4)
     nn.save_checkpoint(tmp_path / "ckpt", {"only.one": net.w_in})
     with pytest.raises(KeyError):
         nn.restore_params(net.params(), nn.load_checkpoint(tmp_path / "ckpt"))
 
 
 def test_checkpoint_unknown_param_error(tmp_path):
-    net = nn.VelocityPredictor(nd.Rng(22), feature_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(22), feature_dim=8, t_max=4)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", {**params, "bogus.extra": ad.constant(np.zeros(3))})
     with pytest.raises(KeyError, match="bogus.extra"):
@@ -384,7 +383,7 @@ def test_checkpoint_unknown_param_error(tmp_path):
 
 
 def test_failed_checkpoint_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
-    net = nn.VelocityPredictor(nd.Rng(23), feature_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(23), feature_dim=8, t_max=4)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", params)
     before = nn.load_checkpoint(tmp_path / "ckpt")
@@ -414,7 +413,7 @@ def test_failed_checkpoint_save_leaves_the_previous_checkpoint_whole(tmp_path, m
 
 
 def test_failed_swap_in_puts_the_previous_checkpoint_back(tmp_path, monkeypatch):
-    net = nn.VelocityPredictor(nd.Rng(24), feature_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(24), feature_dim=8, t_max=4)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", params)
     before = nn.load_checkpoint(tmp_path / "ckpt")
@@ -440,7 +439,7 @@ def test_failed_swap_in_puts_the_previous_checkpoint_back(tmp_path, monkeypatch)
 
 
 def test_crash_between_the_two_renames_loads_and_then_clears_the_previous_checkpoint(tmp_path):
-    net = nn.VelocityPredictor(nd.Rng(25), feature_dim=8)
+    net = nn.VelocityPredictor(nd.Rng(25), feature_dim=8, t_max=4)
     params = net.params()
     nn.save_checkpoint(tmp_path / "ckpt", params)
     before = nn.load_checkpoint(tmp_path / "ckpt")
