@@ -303,10 +303,15 @@ def relu(x) -> Tensor:
 
 
 def leaky_relu(x, slope: float = 0.1) -> Tensor:
-    # gradient at exactly 0 takes the negative-slope branch
+    # for a slope in [0, 1] the max is x where x > 0, else slope * x, bit for
+    # bit; the gradient multiplier is exactly 1.0 or slope, as (1 - s) + s
+    # rounds to 1.0. The gradient at exactly 0 takes the negative-slope branch.
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu: slope must be in [0, 1], got {slope}")
     x = constant(x)
-    return _node("leaky_relu", np.where(x.data > 0.0, x.data, slope * x.data), (x,),
-                 lambda g: g * np.where(x.data > 0.0, 1.0, slope))
+    scaled = np.multiply(slope, x.data, out=np.empty_like(x.data))  # an array when 0-d too
+    return _node("leaky_relu", np.maximum(x.data, scaled, out=scaled), (x,),
+                 lambda g: g * ((x.data > 0.0) * (1.0 - slope) + slope))
 
 
 def exp(x) -> Tensor:

@@ -44,7 +44,7 @@ def test_criterion_01_gradient_suite():
     assert not failed, f"gradient suite failures: {[c['name'] for c in failed]}"
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
     report(1, f"{len(rep['checks'])} finite-difference checks (>=5 seeded inputs each, "
-              f"tol 1e-4, h=1e-5) in {elapsed:.1f}s")
+              f"tol {ad.FD_TOL:g}, h={ad.FD_STEP:g}) in {elapsed:.1f}s")
 
 
 def test_criterion_02_hvi_continuity():

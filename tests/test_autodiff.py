@@ -41,6 +41,31 @@ def test_leaky_relu_negative_branch_at_zero():
     assert x.grad.item() == 0.1
 
 
+def reference_leaky_relu(x, slope):
+    """leaky_relu's forward and gradient multiplier as written with np.where
+    before the max form replaced them."""
+    return np.where(x > 0.0, x, slope * x), np.where(x > 0.0, 1.0, slope)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.1, 0.2, 0.3, 1.0])
+def test_leaky_relu_is_bit_equal_to_the_where_form(slope):
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0])
+    x_val = np.concatenate([edges, nd.Rng(0).normal((500,)), nd.Rng(1).normal((200,)) * 1e-308])
+    g = nd.Rng(2).normal(x_val.shape)
+    x = ad.Param(x_val.copy(), "x")
+    y = ad.leaky_relu(x, slope)
+    (y * ad.constant(g)).sum().backward()
+    fwd, mult = reference_leaky_relu(x_val, slope)
+    assert y.data.tobytes() == fwd.tobytes()  # the signs of the zeros included
+    assert x.grad.tobytes() == (g * mult + 0.0).tobytes()  # accum_grad adds 0.0
+
+
+@pytest.mark.parametrize("slope", [1.5, -0.1, float("nan"), np.nextafter(1.0, 2.0), -5e-324])
+def test_leaky_relu_rejects_a_slope_outside_zero_to_one(slope):
+    with pytest.raises(ValueError, match="slope"):
+        ad.leaky_relu(ad.constant(np.ones(3)), slope)
+
+
 def test_backward_requires_scalar():
     x = ad.Param(np.ones(3), "x")
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Property tests of the reductions, transpose and the broadcasting binary
-ops: over random shapes (0-d included), single, negative and tuple axes,
-`keepdims` and broadcastable shape pairs, the forward equals numpy, the
-gradient passes `fd_check` at its gate, axes numpy rejects are rejected, and
-`_unbroadcast` sums exactly the broadcast axes. Derandomized, so every run
-draws the same examples."""
+"""Property tests of the reductions, transpose, the broadcasting binary ops
+and leaky_relu: over random shapes (0-d included), single, negative and
+tuple axes, `keepdims`, broadcastable shape pairs, values up to 1e300 in
+magnitude and slopes in [0, 1], the forward equals numpy (leaky_relu: its
+former `np.where` form, bit for bit), the gradient passes `fd_check` at its
+gate, axes numpy rejects are rejected, and `_unbroadcast` sums exactly the
+broadcast axes. Derandomized, so every run draws the same examples."""
 
 import numpy as np
 import pytest
@@ -142,3 +143,27 @@ def test_unbroadcast_sums_the_broadcast_axes(pair):
         got = ad._unbroadcast(grad, shape)
         assert got.shape == shape
         np.testing.assert_array_equal(got, grad.sum(axis=axes).reshape(shape))
+
+
+# -- leaky_relu -------------------------------------------------------------------
+
+# +-0.0 and subnormals included; bounded so that the probed sum stays finite
+FINITE = st.floats(-1e300, 1e300)
+
+
+@PROPERTY
+@given(x=hnp.arrays(np.float64, SHAPES, elements=FINITE), slope=st.floats(0.0, 1.0))
+def test_leaky_relu_matches_the_where_form_bit_for_bit(x, slope):
+    # the reference is leaky_relu as written with np.where before the max form
+    xp = ad.Param(x.copy(), "x")
+    g = _values(x.shape, seed=4)
+    y = ad.leaky_relu(xp, slope)
+    ad.sum_(y * ad.constant(g)).backward()
+    assert y.data.tobytes() == np.where(x > 0.0, x, slope * x).tobytes()
+    assert xp.grad.tobytes() == (g * np.where(x > 0.0, 1.0, slope) + 0.0).tobytes()
+
+
+@PROPERTY
+@given(shape=SHAPES, slope=st.floats(0.0, 1.0))
+def test_leaky_relu_gradient_passes_fd(shape, slope):
+    _fd_passes(lambda t: ad.leaky_relu(t, slope), _away_from_zero(shape))

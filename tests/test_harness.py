@@ -124,6 +124,68 @@ def test_synth_dataset_lq_darker_than_gt():
         assert lq.mean() < gt.mean()
 
 
+def reference_synth_dataset(rng, n, image_size):
+    """synth_dataset as it was written item by item, before the arithmetic
+    ran on blocks of items."""
+    def upsample(field2d, size):
+        src = field2d.shape[0]
+        pos = np.linspace(0.0, src - 1.0, size)
+        lo = np.floor(pos).astype(int)
+        hi = np.minimum(lo + 1, src - 1)
+        frac = pos - lo
+        return field2d[lo][:, lo] * np.outer(1 - frac, 1 - frac) \
+            + field2d[lo][:, hi] * np.outer(1 - frac, frac) \
+            + field2d[hi][:, lo] * np.outer(frac, 1 - frac) \
+            + field2d[hi][:, hi] * np.outer(frac, frac)
+
+    def box_smooth(x):
+        p = np.pad(x, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        acc = np.zeros_like(x)
+        for dy in range(3):
+            for dx in range(3):
+                acc += p[:, dy:dy + x.shape[1], dx:dx + x.shape[2]]
+        return acc / 9.0
+
+    pairs = []
+    for _ in range(n):
+        lum = upsample(rng.uniform((4, 4), 0.3, 1.0), image_size)[None, :, :]
+        texture = 0.5 * rng.uniform((3, image_size, image_size)) \
+            + 0.5 * box_smooth(rng.uniform((3, image_size, image_size)))
+        gt = np.clip(texture * lum, 0.0, 1.0)
+        dim = rng.uniform((), 0.15, 0.45)
+        noise = rng.normal((3, image_size, image_size), scale=0.01)
+        pairs.append((np.clip(gt * dim + noise, 0.0, 1.0), gt))
+    return pairs
+
+
+BLOCK = dh.SYNTH_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("image_size", [4, 8, 16])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 80, 512])
+def test_synth_dataset_is_bit_equal_to_the_item_by_item_loop(n, image_size):
+    got = dh.synth_dataset(nd.Rng(n).derive("d"), n, image_size)
+    want = reference_synth_dataset(nd.Rng(n).derive("d"), n, image_size)
+    assert len(got) == n
+    for (lq, gt), (lq_ref, gt_ref) in zip(got, want):
+        assert lq.shape == gt.shape == (3, image_size, image_size)
+        assert lq.tobytes() == lq_ref.tobytes() and gt.tobytes() == gt_ref.tobytes()
+
+
+def test_synth_dataset_of_512_pairs_peaks_within_1_mb_of_its_output():
+    # after a warm-up call, the item-by-item loop peaked 0.3 MB above its
+    # 6.3 MB output, blocks of 8 items peak 0.6 MB and blocks of 64 3.6 MB above it
+    dh.synth_dataset(nd.Rng(1), 1, 16)
+    tracemalloc.start()
+    try:
+        pairs = dh.synth_dataset(nd.Rng(0), 512, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(lq.nbytes + gt.nbytes for lq, gt in pairs)
+    assert peak - output < 1e6, (peak, output)
+
+
 def test_synth_dataset_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         dh.synth_dataset(nd.Rng(0), 0, 8)
@@ -217,6 +279,26 @@ def test_phase2_components_sum_and_gate_bookkeeping():
         recon = dh.phase2_loss_total(rec.components, exp.config)
         assert abs(recon - rec.components["total"]) < 1e-10
     assert 0.0 <= summary["gate_fraction"] <= 1.0
+
+
+def test_phase2_runs_one_holdout_forward_per_logged_row_plus_the_initial_one(monkeypatch):
+    # the final holdout L1 is the last logged row's: the last iteration is
+    # always logged, after the student's last step
+    exp = dh.Experiment(small_config(phase1_iters=2, phase2_iters=12, log_interval=5))
+    nets, _ = dh.train_phase1(exp)
+    no_grad_forwards = []
+    forward = dh.StudentNet.forward
+
+    def spy(self, *args, **kwargs):
+        if not ad._grad_enabled:
+            no_grad_forwards.append(self)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(dh.StudentNet, "forward", spy)
+    student, records, summary = dh.train_phase2(exp, nets)
+    assert [r.iteration for r in records] == [0, 5, 10, 11]
+    assert sum(net is student for net in no_grad_forwards) == len(records) + 1
+    assert summary["final_holdout_l1"] == records[-1].components["holdout_l1"]
 
 
 def test_phase2_flex_ablation_changes_training():
