@@ -26,6 +26,7 @@ from . import nn_blocks as nn
 from . import rectflow as rfl
 
 FD_SEEDS = range(5)
+_COND_DIM = 256  # conditioning width of the attention and block cases
 CHECKS: list = []
 
 
@@ -101,20 +102,25 @@ def fd_sqrt(seed):
 @fd_case("fd_power")
 def fd_power(seed):
     a = ad.Param(nd.Rng(seed).uniform((3, 2), 0.3, 2.0), "a")
-    return (lambda: ad.mean(ad.power(a, 1.7))), [a]
+    # the two terms' gradients have one sign, so neither can mask the other
+    return (lambda: ad.mean(ad.power(a, 1.7)) - ad.mean(ad.power(a, -0.5))), [a]
 
 
 @fd_case("fd_matmul")
 def fd_matmul(seed):
     a = ad.Param(_signed(seed, (3, 4)), "a")
     b = ad.Param(_signed(seed + 50, (4, 2)), "b")
-    return (lambda: ad.mean(ad.matmul(a, b) * ad.matmul(a, b))), [a, b]
+    # batched, with each side broadcast along one of the two leading dims
+    c = ad.Param(_signed(seed + 20, (2, 1, 3, 2)), "c")
+    d = ad.Param(_signed(seed + 30, (1, 2, 2, 3)), "d")
+    return (lambda: ad.mean(ad.matmul(a, b) * ad.matmul(a, b))
+            + ad.mean(ad.matmul(c, d) * ad.matmul(c, d))), [a, b, c, d]
 
 
 @fd_case("fd_conv2d_3x3", max_entries=24)
 def fd_conv(seed):
-    x = ad.Param(_signed(seed, (1, 2, 4, 4)), "x")
-    w = ad.Param(_signed(seed + 70, (2, 2, 3, 3)), "w")
+    x = ad.Param(_signed(seed, (2, 3, 4, 4)), "x")
+    w = ad.Param(_signed(seed + 70, (2, 3, 3, 3)), "w")
     return (lambda: ad.mean(ad.conv2d_3x3(x, w) * ad.conv2d_3x3(x, w))), [x, w]
 
 
@@ -131,7 +137,7 @@ for _offset, _name in enumerate(("softmax", "layer_norm", "l2_normalize"), start
 def fd_reductions(seed):
     a = ad.Param(_signed(seed, (2, 3, 2)), "a")
     return (lambda: ad.sum_(ad.mean(a, axes=(0, 2)) * ad.mean(a, axes=(0, 2)))
-            + 0.0 * ad.mean(ad.sum_(a, axes=1))), [a]
+            + ad.mean(ad.sum_(a, axes=1, keepdims=True) * 0.3)), [a]
 
 
 @fd_case("fd_pixel_unshuffle")
@@ -151,9 +157,9 @@ def fd_scln(seed):
 @fd_case("fd_qk_attention", max_entries=6)
 def fd_attention(seed):
     rng = nd.Rng(seed)
-    params = nn.AttentionParams(8, rng.derive("p"))
+    params = nn.AttentionParams(8, rng.derive("p"), cond_dim=_COND_DIM)
     x = ad.Param(rng.normal((1, 8, 3, 3)), "x")
-    ipr = ad.Param(rng.normal((1, 256)), "ipr")
+    ipr = ad.Param(rng.normal((1, _COND_DIM)), "ipr")
     probe = ad.constant(rng.normal((1, 8, 3, 3)))
     plist = [x, ipr] + list(params.params().values())
     return (lambda: ad.mean(nn.qk_normalized_attention(x, ipr, params) * probe)), plist
@@ -162,9 +168,9 @@ def fd_attention(seed):
 @fd_case("fd_toy_block", max_entries=5)
 def fd_toy_block(seed):
     rng = nd.Rng(seed)
-    block = nn.ToyTransformerBlock(8, rng.derive("b"))
+    block = nn.ToyTransformerBlock(8, rng.derive("b"), cond_dim=_COND_DIM)
     x = ad.Param(rng.normal((1, 8, 4, 4)), "x")
-    ipr = ad.Param(rng.normal((1, 256)), "ipr")
+    ipr = ad.Param(rng.normal((1, _COND_DIM)), "ipr")
     probe = ad.constant(rng.normal((1, 8, 4, 4)))
     plist = [x, ipr] + list(block.params().values())
     return (lambda: ad.mean(block.forward(x, ipr) * probe)), plist
@@ -379,10 +385,10 @@ def inv_logit_bound():
     ok, worst, worst_dev = True, 0.0, 0.0
     for seed, tau, scale in [(6, 2.0, 4.0)] + [(s, 0.3 + s, 3.0) for s in range(5)]:
         rng = nd.Rng(seed)
-        params = nn.AttentionParams(8, rng.derive("p"))
+        params = nn.AttentionParams(8, rng.derive("p"), cond_dim=_COND_DIM)
         params.tau.data[...] = tau
         x = ad.constant(rng.normal((2, 8, 3, 3)) * scale)
-        ipr = ad.constant(rng.normal((2, 256)))
+        ipr = ad.constant(rng.normal((2, _COND_DIM)))
         _, weights = nn.qk_normalized_attention(x, ipr, params, return_weights=True)
         bound = math.exp(2.0 * tau / math.sqrt(4))
         ratio = (weights.max(axis=-1) / weights.min(axis=-1)).max()
@@ -406,11 +412,11 @@ def inv_scln():
 def inv_block_identity():
     for seed in (8, 5):
         rng = nd.Rng(seed)
-        block = nn.ToyTransformerBlock(8, rng.derive("b"))
+        block = nn.ToyTransformerBlock(8, rng.derive("b"), cond_dim=_COND_DIM)
         block.attn.wo.data[...] = 0.0
         block.w2.data[...] = 0.0
         x = rng.normal((2, 8, 4, 4))
-        out = block.forward(ad.constant(x), ad.constant(rng.normal((2, 256))))
+        out = block.forward(ad.constant(x), ad.constant(rng.normal((2, _COND_DIM))))
         if not np.array_equal(out.data, x):
             return False, f"seed {seed}"
     return True, "zero output projections"

@@ -122,14 +122,14 @@ class MetricsRecord:
     components: dict  # named loss terms, including "total"
     feature_mse: float
     frechet: float
-    steps: int
 
 
 def write_metrics_csv(path, records: list, component_names: list) -> None:
-    """Header plus one row per record, written by `nd.write_csv`."""
+    """Header plus one row per record, written by `nd.write_csv`. The
+    `steps` column is the sampler length T_MAX, the same in every row."""
     nd.write_csv(path, ["iteration"] + component_names + ["feature_mse", "frechet", "steps"],
                  [[r.iteration] + [float(r.components[c]) for c in component_names]
-                  + [float(r.feature_mse), float(r.frechet), r.steps] for r in records])
+                  + [float(r.feature_mse), float(r.frechet), T_MAX] for r in records])
 
 
 class Adam:
@@ -411,8 +411,9 @@ def train_phase1(exp: Experiment):
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = len(exp.data)
-    nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"), config.feature_dim,
-                                      t_max=T_MAX, prefix=f"vel_{key}")
+    nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"),
+                                      feature_dim=config.feature_dim, t_max=T_MAX,
+                                      prefix=f"vel_{key}")
             for key in ("rex", "img")}
     opts = {
         "rex": Adam(nets["rex"].params(), config.lr_rex),
@@ -456,7 +457,7 @@ def train_phase1(exp: Experiment):
         if it % config.log_interval == 0 or it == config.phase1_iters - 1:
             fmse = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"])
             fd = _frechet_probe(nets, feats, probe_z)
-            records.append(MetricsRecord(it, comps, fmse, fd, T_MAX))
+            records.append(MetricsRecord(it, comps, fmse, fd))
     for net in nets.values():
         net.trained = True
     return nets, records
@@ -555,7 +556,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
         if it % config.log_interval == 0 or it == config.phase2_iters - 1:
             comps["holdout_l1"] = holdout_metric()
             fmse = _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx])
-            records.append(MetricsRecord(it, comps, fmse, float("nan"), T_MAX))
+            records.append(MetricsRecord(it, comps, fmse, float("nan")))
 
     summary = {
         "initial_holdout_l1": initial_holdout,
@@ -583,8 +584,8 @@ def train_ddim_baseline(exp: Experiment):
     rng = nd.Rng(config.seed)
     n = len(exp.data)
     T = len(rf.DDIM_ALPHA_BARS)
-    net = nn.VelocityPredictor(rng.derive("ddim-init"), config.feature_dim, t_max=T - 1,
-                               prefix="ddim")
+    net = nn.VelocityPredictor(rng.derive("ddim-init"), feature_dim=config.feature_dim,
+                               t_max=T - 1, prefix="ddim")
     opt = Adam(net.params(), config.lr_img)
     loop = rng.derive("ddim-loop")
 
@@ -671,7 +672,8 @@ def load_phase1(config: ExperimentConfig, outdir) -> dict:
     """The velocity predictors `save_phase1` wrote under outdir, marked trained."""
     nets = {}
     for key in ("rex", "img"):
-        net = nn.VelocityPredictor(nd.Rng(0), config.feature_dim, t_max=T_MAX, prefix=f"vel_{key}")
+        net = nn.VelocityPredictor(nd.Rng(0), feature_dim=config.feature_dim, t_max=T_MAX,
+                                   prefix=f"vel_{key}")
         nn.restore_params(net.params(), nn.load_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}")))
         net.trained = True
         nets[key] = net

@@ -56,13 +56,12 @@ class AttentionParams:
     """Projections and temperature for the split-pathway attention.
 
     The channel axis is split 3C/4 (reflectance) / C/4 (illumination); the
-    conditioning vector (cond_dim wide, 256 by default) is split the same way,
-    192/64 at 256, and modulates each pathway as x * Linear(cond) + x. Queries
-    come from the reflectance pathway, keys and values from the illumination
-    pathway.
+    conditioning vector (cond_dim wide) is split the same way and modulates
+    each pathway as x * Linear(cond) + x. Queries come from the reflectance
+    pathway, keys and values from the illumination pathway.
     """
 
-    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "attn", cond_dim: int = 256):
+    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "attn", *, cond_dim: int):
         if channels % (4 * HEAD_COUNT) != 0:
             raise ValueError(
                 f"attention: channels={channels} not divisible by 4*HEAD_COUNT={4 * HEAD_COUNT}"
@@ -157,7 +156,7 @@ class ToyTransformerBlock:
     is exactly the identity.
     """
 
-    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "block", cond_dim: int = 256):
+    def __init__(self, channels: int, rng: nd.Rng, prefix: str = "block", *, cond_dim: int):
         self.norm1 = SclnParams.create(channels, f"{prefix}.norm1.gamma")
         self.norm2 = SclnParams.create(channels, f"{prefix}.norm2.gamma")
         self.attn = AttentionParams(channels, rng, prefix=f"{prefix}.attn", cond_dim=cond_dim)
@@ -295,17 +294,17 @@ def style_loss(pred: Tensor, gt: Tensor, extractor) -> Tensor:
 # -- velocity predictor --------------------------------------------------------------
 
 class VelocityPredictor:
-    """Residual MLP over feature vectors: Linear(513->256), LeakyReLU(0.1),
-    five residual blocks (Linear 256->256 + LeakyReLU + skip), linear head.
+    """Residual MLP over feature vectors of width D = feature_dim:
+    Linear(2D+1 -> D), LeakyReLU(0.1), five residual blocks (Linear D->D +
+    LeakyReLU + skip), linear head.
 
     Inputs are assembled as [c; t_norm; x_t] with t_norm = t / t_max and t an
-    integer timestep in [0, t_max]; the conditioning c is as wide as x_t
-    (feature_dim, 256 above).
+    integer timestep in [0, t_max]; the conditioning c is as wide as x_t.
     """
 
     N_BLOCKS = 5
 
-    def __init__(self, rng: nd.Rng, feature_dim: int = 256, *, t_max: int, prefix: str = "vel"):
+    def __init__(self, rng: nd.Rng, *, feature_dim: int, t_max: int, prefix: str = "vel"):
         self.feature_dim = feature_dim
         self.t_max = t_max
         self.trained = False

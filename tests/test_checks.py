@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from restorect import autodiff as ad
 from restorect import checks
+from test_autodiff import files_calling
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +17,24 @@ def registry_report():
 def test_registered_check(registry_report, name):
     (entry,) = [c for c in registry_report["checks"] if c["name"] == name]
     assert entry["passed"], entry["detail"]
+
+
+@pytest.mark.parametrize("name", checks.gradient_check_names())
+def test_gradient_check_passes_on_held_out_seeds(monkeypatch, name):
+    """The registry is the one home of the gradient cases; here each runs
+    again on seeds 5-9, next to the 0-4 that `restorect check` uses."""
+    monkeypatch.setattr(checks, "FD_SEEDS", range(5, 10))
+    report = checks.run_checks(names=[name])
+    assert report["passed"], report["checks"][0]["detail"]
+
+
+def test_fd_check_is_called_only_by_the_registry_and_the_op_tests():
+    """Gradient cases live in checks.py. test_autodiff checks fd_check itself
+    and the fused attention against finite differences; the property tests
+    call it on generated inputs."""
+    paths = [*Path(checks.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    callers = files_calling("fd_check", paths)
+    assert callers == {"checks.py", "test_autodiff.py", "test_autodiff_properties.py"}, callers
 
 
 def test_all_checks_pass_on_clean_tree(registry_report):
@@ -43,26 +64,37 @@ def test_single_op_checks_are_the_23_named_after_ops():
     assert len(SINGLE_OP_CHECKS) == 23
 
 
-@pytest.mark.parametrize("name,attr", SINGLE_OP_CHECKS,
-                         ids=[name for name, _ in SINGLE_OP_CHECKS])
-def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch, name, attr):
-    real = getattr(ad, attr)
-
-    def doubled(*args, **kwargs):
+def _doubled(real, applies=lambda *args, **kwargs: True):
+    """`real` with an injected bug: on the calls `applies` to, the upstream
+    gradient is doubled."""
+    def wrapped(*args, **kwargs):
         out = real(*args, **kwargs)
         backward = out._backward
-        if backward is not None:
+        if backward is not None and applies(*args, **kwargs):
             def wrong():
-                out.grad = out.grad * 2.0  # the injected bug: upstream gradient doubled
+                out.grad = out.grad * 2.0
                 backward()
 
             out._backward = wrong
         return out
 
-    monkeypatch.setattr(ad, attr, doubled)
+    return wrapped
+
+
+@pytest.mark.parametrize("name,attr", SINGLE_OP_CHECKS,
+                         ids=[name for name, _ in SINGLE_OP_CHECKS])
+def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch, name, attr):
+    real = getattr(ad, attr)
+    monkeypatch.setattr(ad, attr, _doubled(real))
     assert checks.run_checks(names=[name])["failed"] == [name]
     monkeypatch.setattr(ad, attr, real)
     assert checks.run_checks(names=[name])["passed"]
+
+
+def test_fd_reductions_reports_a_bug_only_in_partial_sums(monkeypatch):
+    partial = _doubled(ad.sum_, lambda x, axes=None, keepdims=False: axes is not None)
+    monkeypatch.setattr(ad, "sum_", partial)
+    assert checks.run_checks(names=["fd_reductions"])["failed"] == ["fd_reductions"]
 
 
 def test_gradient_subset_covers_ops_and_losses():

@@ -264,8 +264,8 @@ def test_phase1_components_sum_to_total():
 def test_phase2_requires_trained_nets():
     cfg = small_config()
     untrained = {
-        "rex": nn.VelocityPredictor(nd.Rng(0), cfg.feature_dim, t_max=dh.T_MAX),
-        "img": nn.VelocityPredictor(nd.Rng(1), cfg.feature_dim, t_max=dh.T_MAX),
+        "rex": nn.VelocityPredictor(nd.Rng(0), feature_dim=cfg.feature_dim, t_max=dh.T_MAX),
+        "img": nn.VelocityPredictor(nd.Rng(1), feature_dim=cfg.feature_dim, t_max=dh.T_MAX),
     }
     with pytest.raises(ValueError, match="trained"):
         dh.train_phase2(dh.Experiment(cfg), untrained)
@@ -367,7 +367,7 @@ def test_compare_samplers_deterministic_result_csv(small_run, tmp_path):
 
 def test_compare_samplers_rejects_untrained(small_run):
     exp, nets, _ = small_run
-    fresh = nn.VelocityPredictor(nd.Rng(0), exp.config.feature_dim,
+    fresh = nn.VelocityPredictor(nd.Rng(0), feature_dim=exp.config.feature_dim,
                                  t_max=len(rf.DDIM_ALPHA_BARS) - 1)
     with pytest.raises(ValueError, match="trained"):
         dh.compare_samplers(exp, nets["img"], fresh)
@@ -435,8 +435,8 @@ def test_phase2_holdout_l1_raises_naming_the_metric():
 
 def test_metrics_csv_layout(tmp_path):
     records = [
-        dh.MetricsRecord(0, {"total": 1.5, "a": 1.0, "b": 0.5}, 0.25, 3.0, 4),
-        dh.MetricsRecord(10, {"total": 1.0, "a": 0.75, "b": 0.25}, 0.2, 2.5, 4),
+        dh.MetricsRecord(0, {"total": 1.5, "a": 1.0, "b": 0.5}, 0.25, 3.0),
+        dh.MetricsRecord(10, {"total": 1.0, "a": 0.75, "b": 0.25}, 0.2, 2.5),
     ]
     path = tmp_path / "m.csv"
     dh.write_metrics_csv(path, records, ["total", "a", "b"])

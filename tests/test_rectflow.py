@@ -152,22 +152,6 @@ def test_velocity_loss_empty_batch_error():
         rf.velocity_matching_loss(net, (empty, empty, empty), nd.Rng(0))
 
 
-def test_velocity_loss_gradient_fd():
-    rng = nd.Rng(4)
-    net = nn.VelocityPredictor(rng.derive("n"), feature_dim=6, t_max=4)
-    z = rng.normal((3, 6))
-    f = rng.normal((3, 6))
-    c = rng.normal((3, 6))
-
-    def f_loss():
-        # fixed rng per evaluation so the sampled t values are constant
-        return rf.velocity_matching_loss(net, (ad.constant(z), ad.constant(f), ad.constant(c)),
-                                         nd.Rng(99))
-
-    report = ad.fd_check(f_loss, list(net.params().values()), max_entries=8)
-    assert report.passed, report.summary()
-
-
 # -- euler sampling ---------------------------------------------------------------------------
 
 def test_euler_exact_for_constant_field():
@@ -253,19 +237,6 @@ def test_trajectory_loss_components_nonnegative():
 def test_trajectory_loss_empty_error():
     with pytest.raises(ValueError):
         rf.trajectory_consistency_loss([], ad.constant(np.zeros((1, 3))))
-
-
-def test_trajectory_loss_gradient_fd():
-    rng = nd.Rng(11)
-    f = ad.constant(rng.normal((2, 4)))
-    p1 = ad.Param(rng.normal((2, 4)), "p1")
-    p2 = ad.Param(rng.normal((2, 4)), "p2")
-
-    def loss():
-        return rf.trajectory_consistency_loss([p1, p2], f)
-
-    report = ad.fd_check(loss, [p1, p2])
-    assert report.passed, report.summary()
 
 
 # -- DDIM baseline ------------------------------------------------------------------------------
