@@ -119,6 +119,27 @@ def test_reductions_reject_axes_numpy_rejects(reduce, axes):
         reduce(ad.constant(x), axes=axes)
 
 
+def test_fd_matmul():
+    """Tokens times a shared weight, (B, N, C) @ (C, D), as the blocks use it:
+    the weight's gradient is summed over a leading dim it does not have.
+    The registry's fd_matmul covers operands of equal rank."""
+    for seed in range(10):
+        x = rand_param(seed, (2, 3, 4))
+        w = rand_param(50 + seed, (4, 2))
+        report = ad.fd_check(lambda: ad.mean(ad.matmul(x, w) * ad.matmul(x, w)), [x, w])
+        assert report.passed, report.summary()
+
+
+def test_fd_matmul_batched():
+    """A 2-D left operand against a batch of matrices, (3, 4) @ (2, 2, 4, 2):
+    its gradient is summed over two leading dims it does not have."""
+    for seed in range(5):
+        a = rand_param(seed, (3, 4))
+        b = rand_param(30 + seed, (2, 2, 4, 2))
+        report = ad.fd_check(lambda: ad.mean(ad.matmul(a, b) * ad.matmul(a, b)), [a, b])
+        assert report.passed, report.summary()
+
+
 # -- op semantics ---------------------------------------------------------------------
 
 def test_conv_impulse_reproduces_kernel():

@@ -29,9 +29,9 @@ def test_gradient_check_passes_on_held_out_seeds(monkeypatch, name):
 
 
 def test_fd_check_is_called_only_by_the_registry_and_the_op_tests():
-    """Gradient cases live in checks.py. test_autodiff checks fd_check itself
-    and the fused attention against finite differences; the property tests
-    call it on generated inputs."""
+    """Gradient cases live in checks.py. test_autodiff checks fd_check itself,
+    the fused attention and matmul across operands of unequal rank against
+    finite differences; the property tests call it on generated inputs."""
     paths = [*Path(checks.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
     callers = files_calling("fd_check", paths)
     assert callers == {"checks.py", "test_autodiff.py", "test_autodiff_properties.py"}, callers
