@@ -25,8 +25,6 @@ from . import distill_harness as dh
 from . import hvi_color as hvi
 from . import ndtensor as nd
 
-TRAIN_COMMANDS = ("train-phase1", "train-phase2", "distill")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,29 +33,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, config=False, report=False, steps=False):
-        """A subcommand with --out plus only the flags its handler reads."""
+    def command(name, help_text, config=None, steps=False):
+        """A subcommand with --out plus only the flags its handler reads;
+        `config` is None, "optional" or "required" (the training commands)."""
         p = sub.add_parser(name, help=help_text)
         if config:
-            p.add_argument("--config", help="path to a JSON experiment config")
+            p.add_argument("--config", required=config == "required",
+                           help="path to a JSON experiment config")
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="directory for all output files")
-        if report:
-            p.add_argument("--format", choices=("csv", "json"), default="json",
-                           help="report format")
         if steps:
             p.add_argument("--steps", default=None,
                            help="comma-separated sampler step counts, e.g. 1,2,3,4,5")
 
-    command("check", "run every registered self-check", report=True)
-    command("grad-check", "run the finite-difference gradient suite", report=True)
-    command("train-phase1", "train the velocity predictors", config=True)
-    command("train-phase2", "train the student against frozen predictors", config=True)
-    command("distill", "run phase 1 and phase 2 end to end", config=True)
+    command("check", "run every registered self-check")
+    command("grad-check", "run the finite-difference gradient suite")
+    command("train-phase1", "train the velocity predictors", config="required")
+    command("train-phase2", "train the student against frozen predictors", config="required")
+    command("distill", "run phase 1 and phase 2 end to end", config="required")
     command("compare-samplers", "few-step quality table: rectified flow vs DDIM baseline",
-            config=True, steps=True)
+            config="optional", steps=True)
     command("demo-hvi", "write a hue-sweep CSV of polarized coordinates")
-    command("demo-diffusion", "write a CSV demo of the diffusion operator", config=True)
+    command("demo-diffusion", "write a CSV demo of the diffusion operator", config="optional")
     return parser
 
 
@@ -74,18 +71,12 @@ def resolve_config(args) -> dh.ExperimentConfig:
     return config
 
 
-def _require_config(args, parser) -> None:
-    if args.command in TRAIN_COMMANDS and not args.config:
-        parser.exit(2, f"restorect {args.command}: error: --config is required\n")
-
-
 def cmd_check(args, names=None) -> int:
     os.makedirs(args.out, exist_ok=True)
-    ext = "json" if args.format == "json" else "csv"
     label = "grad_check" if names is not None else "check"
-    path = os.path.join(args.out, f"{label}_report.{ext}")
+    path = os.path.join(args.out, f"{label}_report.json")
     t0 = time.perf_counter()
-    report = checks.run_checks(names=names, report_path=path, fmt=args.format)
+    report = checks.run_checks(names=names, report_path=path)
     status = "ok" if report["passed"] else f"FAILED ({len(report['failed'])})"
     print(f"{label}: {report['total']} checks, {status}, "
           f"{time.perf_counter() - t0:.1f}s, report {path}")
@@ -199,7 +190,6 @@ def cmd_demo_diffusion(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _require_config(args, parser)
     handlers = {
         "check": cmd_check,
         "grad-check": lambda a: cmd_check(a, names=checks.gradient_check_names()),

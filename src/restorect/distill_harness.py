@@ -307,7 +307,7 @@ class FeatureSet:
 class Experiment:
     """What every stage of a run shares, built once from its config: the
     training and holdout pairs (one `dataset` stream, split at dataset_size),
-    the frozen teacher and their teacher features."""
+    the frozen teacher and the training pairs' teacher features."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -322,10 +322,6 @@ class Experiment:
     @functools.cached_property
     def feats(self) -> FeatureSet:
         return FeatureSet.build(self.teacher, self.data)
-
-    @functools.cached_property
-    def hold_feats(self) -> FeatureSet:
-        return FeatureSet.build(self.teacher, self.holdout)
 
 
 # -- student network ---------------------------------------------------------------
@@ -504,7 +500,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     # the predictors are frozen, so the holdout conditioning is fixed
     hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim))
     hold_lq, hold_gt = stack_batch(holdout)
-    hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.hold_feats.c_rex, T_MAX)[-1]
+    hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.teacher.conditioning(hold_lq)[0], T_MAX)[-1]
 
     def holdout_metric():
         with ad.no_grad():

@@ -169,20 +169,6 @@ def test_conv_shape_errors():
         ad.conv2d_3x3(ad.constant(np.zeros((1, 2, 4, 4))), ad.constant(np.zeros((1, 3, 3, 3))))
 
 
-def test_softmax_rows_sum_to_one():
-    for seed in range(5):
-        x = ad.constant(nd.Rng(seed).normal((4, 7)) * 3.0)
-        y = ad.softmax(x, axis=-1).data
-        np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-10)
-
-
-def test_layer_norm_zero_mean():
-    for seed in range(5):
-        x = ad.constant(nd.Rng(seed).normal((4, 9)))
-        y = ad.layer_norm(x, axis=-1).data
-        assert np.abs(y.mean(axis=-1)).max() < 1e-10
-
-
 def test_l2_normalize_zero_vector_stays_finite():
     x = ad.Param(np.zeros((1, 4)), "x")
     y = ad.l2_normalize(x, axis=-1)

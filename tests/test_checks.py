@@ -1,9 +1,16 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from restorect import aniso_diffusion as ani
 from restorect import autodiff as ad
 from restorect import checks
+from restorect import flexloss as fx
+from restorect import hvi_color as hvi
+from restorect import ndtensor as nd
+from restorect import nn_blocks as nn
+from restorect import rectflow as rf
 from test_autodiff import files_calling
 
 
@@ -97,6 +104,67 @@ def test_fd_reductions_reports_a_bug_only_in_partial_sums(monkeypatch):
     assert checks.run_checks(names=["fd_reductions"])["failed"] == ["fd_reductions"]
 
 
+def _on_output(change):
+    """A fault that passes the real function's output through `change`."""
+    return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+def _frechet_with_entrywise_root(mu1, cov1, mu2, cov2):
+    """The Frechet distance with the root of cov1 @ cov2 taken entry by entry,
+    which is right only for diagonal covariances."""
+    cross = np.sqrt(np.abs(cov1 @ cov2))
+    return float(np.sum(np.subtract(mu1, mu2) ** 2) + np.trace(cov1 + cov2 - 2.0 * cross))
+
+
+# (check, where the fault goes, the attribute it replaces, real -> faulty value):
+# one row per inv_ check that is the only home of its property
+SOLE_HOME_FAULTS = [
+    ("inv_percentile_is_max_at_one", nd, "percentile_abs",
+     lambda real: lambda x, p: np.sort(np.abs(x), axis=-1)[..., -2]),
+    ("inv_pixel_unshuffle_roundtrip", nd, "pixel_unshuffle", _on_output(lambda y: y[:, ::-1])),
+    ("inv_mean_std_permutation", nd, "mean_std",
+     lambda real: lambda x, axes=None: real(x[..., 1:], axes)),
+    ("inv_rng_golden_vector", nd.Rng, "uniform",
+     lambda real: lambda self, *args, **kwargs: 1.0 - real(self, *args, **kwargs)),
+    ("inv_softmax_rows_sum_one", ad, "softmax", _on_output(lambda y: y * (1.0 + 1e-9))),
+    ("inv_layer_norm_zero_mean", ad, "layer_norm", _on_output(lambda y: y + 1e-9)),
+    ("inv_scln_statistics", nn, "scln", _on_output(lambda y: y * 1.001)),
+    ("inv_decomposition_nonnegative", nn, "decompose", _on_output(lambda rl: (rl[0], rl[0]))),
+    ("inv_teacher_objective_composition", nn, "teacher_objective",
+     _on_output(lambda out: (out[0] + out[1]["tex"] * 0.05, out[1]))),
+    ("inv_aniso_zero_sum", ani, "anisotropic_operator", _on_output(lambda y: y + 1e-6)),
+    ("inv_aniso_translation_invariant", ani, "anisotropic_operator",
+     lambda real: lambda x, params: real(x, params) + x * 1e-3),
+    ("inv_aniso_laplacian_limit", ani, "anisotropic_operator", _on_output(lambda y: y * 0.9)),
+    ("inv_hvi_red_continuity", hvi, "rgb_to_hsv_components",
+     _on_output(lambda hsi: (hsi[0] * 0.9, *hsi[1:]))),
+    ("inv_hvi_dark_stability", hvi, "COLLAPSE_EPS", lambda real: 1e-2),
+    ("inv_flex_gate", fx, "SNR_THRESHOLD", lambda real: 0.0),
+    ("inv_resolution_weights", fx, "WEIGHT_FLOOR", lambda real: 0.0),
+    ("inv_euler_exact_constant_field", rf, "euler_sample",
+     _on_output(lambda out: (out[0], out[1] + out[1][-1:]))),
+    ("inv_interpolate_affine", rf, "interpolate", _on_output(lambda x: x + 0.01)),
+    ("inv_trajectory_loss_nonnegative", rf, "trajectory_consistency_loss",
+     _on_output(lambda loss: loss * -1.0)),
+    ("inv_frechet_examples", nd, "gaussian_frechet_distance",
+     lambda real: _frechet_with_entrywise_root),
+    ("inv_ddim_oracle_recovery", rf, "ddim_baseline_sample",
+     _on_output(lambda x: x * (1.0 + 1e-6))),
+]
+
+
+@pytest.mark.parametrize("name,target,attr,fault", SOLE_HOME_FAULTS,
+                         ids=[row[0] for row in SOLE_HOME_FAULTS])
+def test_injected_fault_fails_the_sole_home_check(monkeypatch, name, target, attr, fault):
+    """No test restates these checks, so each must fail under a fault in
+    what it checks, and pass again once the real value is back."""
+    real = getattr(target, attr)
+    monkeypatch.setattr(target, attr, fault(real))
+    assert checks.run_checks(names=[name])["failed"] == [name]
+    monkeypatch.setattr(target, attr, real)
+    assert checks.run_checks(names=[name])["passed"]
+
+
 def test_gradient_subset_covers_ops_and_losses():
     names = set(checks.gradient_check_names())
     for required in ("fd_add", "fd_matmul", "fd_conv2d_3x3", "fd_softmax",
@@ -107,12 +175,3 @@ def test_gradient_subset_covers_ops_and_losses():
                      "fd_loss_lum", "fd_loss_col", "fd_loss_vel", "fd_loss_traj",
                      "fd_loss_flex_core"):
         assert required in names, f"missing gradient check {required}"
-
-
-def test_csv_report_format(registry_report, tmp_path):
-    path = tmp_path / "report.csv"
-    checks.write_report(registry_report, path, fmt="csv")
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "name,passed,detail,ms"
-    assert len(lines) == 1 + registry_report["total"]
-    assert all(line.count(",") == 3 for line in lines)  # commas in details are escaped

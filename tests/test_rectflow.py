@@ -51,17 +51,6 @@ def test_interpolate_rejects_bad_t():
         rf.interpolate(z, z, -0.1)
 
 
-def test_interpolate_affine_in_endpoints():
-    rng = nd.Rng(0)
-    z = rng.normal((2, 5))
-    f = rng.normal((2, 5))
-    for t in (0.25, 0.7):
-        a = 3.5
-        scaled = rf.interpolate(ad.constant(a * z), ad.constant(a * f), t).data
-        base = rf.interpolate(ad.constant(z), ad.constant(f), t).data
-        np.testing.assert_allclose(scaled, a * base, rtol=1e-12)
-
-
 def test_interpolate_per_item_column_matches_scalar_rows():
     rng = nd.Rng(20)
     z, f = rng.normal((3, 5)), rng.normal((3, 5))
@@ -154,17 +143,6 @@ def test_velocity_loss_empty_batch_error():
 
 # -- euler sampling ---------------------------------------------------------------------------
 
-def test_euler_exact_for_constant_field():
-    rng = nd.Rng(5)
-    z = rng.normal((2, 6))
-    f = rng.normal((2, 6))
-    for steps in (1, 2, 4):
-        net = ExactVelocityNet(z, f)
-        out, traj = rf.euler_sample(net, ad.constant(z), ad.constant(np.zeros((2, 6))), steps)
-        assert np.abs(out.data - f).max() < 1e-12
-        assert len(traj) == steps
-
-
 def test_euler_step_count_invariance_for_straight_field():
     rng = nd.Rng(6)
     z = rng.normal((1, 4))
@@ -226,43 +204,12 @@ def test_trajectory_loss_transition_coefficient():
     assert moved.item() - base.item() == pytest.approx(0.1 * (trans_moved - trans_base), rel=1e-9)
 
 
-def test_trajectory_loss_components_nonnegative():
-    rng = nd.Rng(10)
-    for _ in range(5):
-        traj = [ad.constant(rng.normal((2, 4))) for _ in range(3)]
-        f = ad.constant(rng.normal((2, 4)))
-        assert rf.trajectory_consistency_loss(traj, f).item() >= 0.0
-
-
 def test_trajectory_loss_empty_error():
     with pytest.raises(ValueError):
         rf.trajectory_consistency_loss([], ad.constant(np.zeros((1, 3))))
 
 
 # -- DDIM baseline ------------------------------------------------------------------------------
-
-class PerfectEpsOracle:
-    """Returns the exact noise consistent with a known clean sample."""
-
-    t_max = len(rf.DDIM_ALPHA_BARS) - 1
-
-    def __init__(self, x0):
-        self.x0 = np.asarray(x0)
-
-    def forward(self, x, t, c):
-        ab = rf.DDIM_ALPHA_BARS[int(t)]
-        return ad.constant((x.data - np.sqrt(ab) * self.x0) / np.sqrt(1.0 - ab))
-
-
-def test_ddim_perfect_oracle_recovers_sample():
-    rng = nd.Rng(12)
-    x0 = rng.normal((2, 5))
-    z = rng.normal((2, 5))
-    oracle = PerfectEpsOracle(x0)
-    for steps in (1, 3, 5):
-        out = rf.ddim_baseline_sample(oracle, ad.constant(z), ad.constant(np.zeros((2, 5))), steps)
-        np.testing.assert_allclose(out.data, x0, atol=1e-9)
-
 
 def test_ddim_endpoint_finite_for_random_nets():
     for seed in range(5):
