@@ -648,7 +648,11 @@ def inv_ddim():
 def run_checks(names=None, report_path=None) -> dict:
     """Execute registered checks (all, or the named subset) and return the
     report dict, also written to `report_path` as JSON when a path is given.
-    A check fails cleanly if it returns falsy or raises."""
+    A check fails cleanly if it returns falsy or raises; a name that is not
+    registered raises ValueError before any check runs."""
+    unknown = sorted(set(names or ()) - {name for name, _ in CHECKS})
+    if unknown:
+        raise ValueError(f"run_checks: no registered check named {unknown}")
     results = []
     for name, fn in CHECKS:
         if names is not None and name not in names:

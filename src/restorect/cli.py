@@ -85,12 +85,11 @@ def cmd_check(args, names=None) -> int:
 
 def cmd_train_phase1(args) -> int:
     config = resolve_config(args)
-    nets, records = dh.train_phase1(dh.Experiment(config))
-    dh.save_phase1(args.out, nets, records)
-    first, last = records[0], records[-1]
+    nets, rows = dh.train_phase1(dh.Experiment(config))
+    dh.save_phase1(args.out, nets, rows)
+    first, last = rows[0], rows[-1]
     print(f"phase1: {config.phase1_iters} iters, velocity loss "
-          f"{first.components['vel_rex'] + first.components['vel_img']:.3f} -> "
-          f"{last.components['vel_rex'] + last.components['vel_img']:.3f}")
+          f"{first['vel_rex'] + first['vel_img']:.3f} -> {last['vel_rex'] + last['vel_img']:.3f}")
     return 0
 
 
@@ -102,8 +101,8 @@ def cmd_train_phase2(args) -> int:
     except FileNotFoundError as exc:
         print(f"phase2: missing phase-1 checkpoints under {args.out} ({exc})", file=sys.stderr)
         return 1
-    student, records, summary = dh.train_phase2(exp, nets)
-    dh.save_phase2(args.out, student, records)
+    student, rows, summary = dh.train_phase2(exp, nets)
+    dh.save_phase2(args.out, student, rows)
     print(f"phase2: {config.phase2_iters} iters, holdout L1 "
           f"{summary['initial_holdout_l1']:.4f} -> {summary['final_holdout_l1']:.4f}, "
           f"gate fraction {summary['gate_fraction']:.3f}")

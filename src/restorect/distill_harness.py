@@ -62,8 +62,7 @@ class ExperimentConfig:
     batch_size: int = 8
     phase1_iters: int = 500
     phase2_iters: int = 500
-    lr_rex: float = 2e-4
-    lr_img: float = 2e-4
+    lr_phase1: float = 2e-4
     lambda_flex: float = 0.15
     sampler_steps: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
     image_size: int = 16
@@ -78,15 +77,17 @@ class ExperimentConfig:
         for f in fields(self):
             if not _ADMITS[f.type](value := getattr(self, f.name)):
                 raise ValueError(f"config: {f.name} must be of type {f.type}, got {value!r}")
-        for name in ("lr_rex", "lr_img"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config: {name} must be positive")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config: {f.name} must be finite, got {value!r}")
+        if self.lr_phase1 <= 0:
+            raise ValueError("config: lr_phase1 must be positive")
         # the least value a run can use: the Frechet probes need two samples,
-        # and every command that trains phase 1 or DDIM reports or scores it
-        for name, least in (("feature_dim", 1), ("batch_size", 1), ("dataset_size", 2),
-                            ("holdout_size", 1), ("log_interval", 1), ("image_size", 4),
-                            ("channels", 4), ("compare_count", 2), ("phase1_iters", 1),
-                            ("phase2_iters", 1), ("ddim_iters", 1)):
+        # every command that trains phase 1 or DDIM reports or scores it, and
+        # a negative flex weight would reward feature mismatch
+        for name, least in (("lambda_flex", 0), ("feature_dim", 1), ("batch_size", 1),
+                            ("dataset_size", 2), ("holdout_size", 1), ("log_interval", 1),
+                            ("image_size", 4), ("channels", 4), ("compare_count", 2),
+                            ("phase1_iters", 1), ("phase2_iters", 1), ("ddim_iters", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"config: {name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
@@ -116,20 +117,18 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-@dataclass
-class MetricsRecord:
-    iteration: int
-    components: dict  # named loss terms, including "total"
-    feature_mse: float
-    frechet: float
+# Each logged row of a training phase is one dict keyed by its CSV columns:
+# the iteration, the named loss terms including "total", the probe metrics,
+# and `steps`, the sampler length T_MAX, the same in every row.
+PHASE1_COLUMNS = ["iteration", "total", "vel_rex", "vel_img", "kd", "traj",
+                  "feature_mse", "frechet", "steps"]
+PHASE2_COLUMNS = ["iteration", "total", "rec", "flex", "vel_rex", "vel_img", "holdout_l1",
+                  "gate_frac", "feature_mse", "frechet", "steps"]
 
 
-def write_metrics_csv(path, records: list, component_names: list) -> None:
-    """Header plus one row per record, written by `nd.write_csv`. The
-    `steps` column is the sampler length T_MAX, the same in every row."""
-    nd.write_csv(path, ["iteration"] + component_names + ["feature_mse", "frechet", "steps"],
-                 [[r.iteration] + [float(r.components[c]) for c in component_names]
-                  + [float(r.feature_mse), float(r.frechet), T_MAX] for r in records])
+def write_metrics_csv(path, rows: list, columns: list) -> None:
+    """Header plus each logged row's values in column order, by `nd.write_csv`."""
+    nd.write_csv(path, columns, [[row[c] for c in columns] for row in rows])
 
 
 class Adam:
@@ -203,8 +202,9 @@ def _box_smooth(x: np.ndarray) -> np.ndarray:
 SYNTH_BLOCK_ROWS = 8
 
 
-def synth_dataset(rng: nd.Rng, n: int, image_size: int) -> list:
-    """Procedural low-quality / ground-truth pairs in [0,1], shape (3,S,S).
+def synth_dataset(rng: nd.Rng, n: int, image_size: int) -> tuple:
+    """Procedural low-quality / ground-truth pairs in [0,1]: two (n, 3, S, S)
+    arrays (lq, gt), whose item i is the i-th pair.
 
     gt = reflectance texture * smooth illumination field; lq dims the gt by a
     random factor in [0.15, 0.45] and adds small Gaussian noise, so the lq
@@ -215,23 +215,16 @@ def synth_dataset(rng: nd.Rng, n: int, image_size: int) -> list:
     if n <= 0:
         raise ValueError(f"synth_dataset: n must be positive, got {n}")
     shape = (3, image_size, image_size)
-    pairs = []
+    lq, gt = np.empty((n,) + shape), np.empty((n,) + shape)
     for start in range(0, n, SYNTH_BLOCK_ROWS):
+        rows = slice(start, min(start + SYNTH_BLOCK_ROWS, n))
         draws = [(rng.uniform((4, 4), 0.3, 1.0), rng.uniform(shape), rng.uniform(shape),
                   rng.uniform((), 0.15, 0.45), rng.normal(shape, scale=0.01))
-                 for _ in range(min(SYNTH_BLOCK_ROWS, n - start))]
+                 for _ in range(rows.stop - start)]
         lum_small, tex_a, tex_b, dim, noise = map(np.stack, zip(*draws))
         lum = _bilinear_upsample(lum_small, image_size)[:, None]
-        gt = np.clip((0.5 * tex_a + 0.5 * _box_smooth(tex_b)) * lum, 0.0, 1.0)
-        lq = np.clip(gt * dim[:, None, None, None] + noise, 0.0, 1.0)
-        pairs.extend(zip(lq, gt))
-    return pairs
-
-
-def stack_batch(pairs: list, indices=None):
-    idx = range(len(pairs)) if indices is None else indices
-    lq = np.stack([pairs[i][0] for i in idx])
-    gt = np.stack([pairs[i][1] for i in idx])
+        gt[rows] = np.clip((0.5 * tex_a + 0.5 * _box_smooth(tex_b)) * lum, 0.0, 1.0)
+        lq[rows] = np.clip(gt[rows] * dim[:, None, None, None] + noise, 0.0, 1.0)
     return lq, gt
 
 
@@ -256,9 +249,7 @@ class SyntheticTeacher:
         self.h_rex = rng.normal((32, feature_dim))
         self.h_img = rng.normal((32, feature_dim))
         # calibrate head scales on a probe batch so feature std is ~1
-        probe = synth_dataset(rng.derive("teacher-probe"), 16, image_size)
-        lq, gt = stack_batch(probe)
-        pooled = self._pool(lq, gt)
+        pooled = self._pool(*synth_dataset(rng.derive("teacher-probe"), 16, image_size))
         for h in (self.h_rex, self.h_img):
             feats = pooled @ h
             h /= max(feats.std(), 1e-6)
@@ -297,8 +288,7 @@ class FeatureSet:
     f_img: np.ndarray
 
     @staticmethod
-    def build(teacher: SyntheticTeacher, pairs: list) -> "FeatureSet":
-        lq, gt = stack_batch(pairs)
+    def build(teacher: SyntheticTeacher, lq: np.ndarray, gt: np.ndarray) -> "FeatureSet":
         f_rex, f_img = teacher.encode_pair(lq, gt)
         c_rex, c_img = teacher.conditioning(lq)
         return FeatureSet(c_rex, c_img, f_rex, f_img)
@@ -306,22 +296,23 @@ class FeatureSet:
 
 class Experiment:
     """What every stage of a run shares, built once from its config: the
-    training and holdout pairs (one `dataset` stream, split at dataset_size),
-    the frozen teacher and the training pairs' teacher features."""
+    training and holdout pairs as (lq, gt) arrays (one `dataset` stream, split
+    at dataset_size), the frozen teacher and the training pairs' teacher
+    features."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         rng = nd.Rng(config.seed)
-        pairs = synth_dataset(rng.derive("dataset"), config.dataset_size + config.holdout_size,
-                              config.image_size)
-        self.data = pairs[:config.dataset_size]
-        self.holdout = pairs[config.dataset_size:]
+        n = config.dataset_size
+        lq, gt = synth_dataset(rng.derive("dataset"), n + config.holdout_size, config.image_size)
+        self.data = lq[:n], gt[:n]
+        self.holdout = lq[n:], gt[n:]
         self.teacher = SyntheticTeacher(rng.derive("teacher"), config.image_size, config.feature_dim)
 
     # Lazy, so encoding runs in the stage that first needs it, not in set-up (~26 ms at defaults).
     @functools.cached_property
     def feats(self) -> FeatureSet:
-        return FeatureSet.build(self.teacher, self.data)
+        return FeatureSet.build(self.teacher, *self.data)
 
 
 # -- student network ---------------------------------------------------------------
@@ -387,12 +378,10 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray) -> float:
 
 
 def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img) -> float:
-    total = 0.0
-    for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
-                         ("img", z_img, feats.c_img, feats.f_img)):
-        x = _sampled(nets[key], z, c[idx], T_MAX)[-1]
-        total += float(((x - f[idx]) ** 2).mean())
-    return nd.require_finite(total / 2.0, "phase1 feature_mse")
+    rex, img = (_mse("phase1 feature_mse", _sampled(nets[key], z, c[idx], T_MAX)[-1], f[idx])
+                for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
+                                     ("img", z_img, feats.c_img, feats.f_img)))
+    return nd.require_finite((rex + img) / 2.0, "phase1 feature_mse")
 
 
 def train_phase1(exp: Experiment):
@@ -406,22 +395,19 @@ def train_phase1(exp: Experiment):
     """
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
-    n = len(exp.data)
+    n = config.dataset_size
     nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"),
                                       feature_dim=config.feature_dim, t_max=T_MAX,
                                       prefix=f"vel_{key}")
             for key in ("rex", "img")}
-    opts = {
-        "rex": Adam(nets["rex"].params(), config.lr_rex),
-        "img": Adam(nets["img"].params(), config.lr_img),
-    }
+    opts = {key: Adam(net.params(), config.lr_phase1) for key, net in nets.items()}
     loop = rng.derive("phase1-loop")
     probe_z = rng.derive("phase1-probe").normal((min(128, n), config.feature_dim))
-    records = []
+    rows = []
 
     for it in range(config.phase1_iters):
         idx = loop.integers(0, n, config.batch_size)
-        comps = {}
+        row = {"iteration": it, "kd": 0.0, "traj": 0.0}
         total = ad.constant(0.0)
         stream_z = {}
         for key, c_all, f_all in (("rex", feats.c_rex, feats.f_rex),
@@ -436,13 +422,11 @@ def train_phase1(exp: Experiment):
             d = x_fin - fc
             l_kd = ad.mean(d * d)
             l_traj = rf.trajectory_consistency_loss(traj, fc)
-            comps[f"vel_{key}"] = l_vel.item()
-            comps.setdefault("kd", 0.0)
-            comps["kd"] += l_kd.item()
-            comps.setdefault("traj", 0.0)
-            comps["traj"] += l_traj.item()
+            row[f"vel_{key}"] = l_vel.item()
+            row["kd"] += l_kd.item()
+            row["traj"] += l_traj.item()
             total = total + l_vel + LAMBDA_KD * l_kd + LAMBDA_TRAJ * l_traj
-        comps["total"] = total.item()
+        row["total"] = total.item()
 
         for opt in opts.values():
             opt.zero_grad()
@@ -451,22 +435,18 @@ def train_phase1(exp: Experiment):
             opt.step()
 
         if it % config.log_interval == 0 or it == config.phase1_iters - 1:
-            fmse = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"])
-            fd = _frechet_probe(nets, feats, probe_z)
-            records.append(MetricsRecord(it, comps, fmse, fd))
+            row["feature_mse"] = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"])
+            row["frechet"] = _frechet_probe(nets, feats, probe_z)
+            row["steps"] = T_MAX
+            rows.append(row)
     for net in nets.values():
         net.trained = True
-    return nets, records
+    return nets, rows
 
 
-PHASE1_COMPONENTS = ["total", "vel_rex", "vel_img", "kd", "traj"]
-PHASE2_COMPONENTS = ["total", "rec", "flex", "vel_rex", "vel_img", "holdout_l1", "gate_frac"]
-
-
-def phase1_loss_total(components: dict, config: ExperimentConfig) -> float:
-    """Recombine logged phase-1 components into the total (bookkeeping check)."""
-    return (components["vel_rex"] + components["vel_img"]
-            + LAMBDA_KD * components["kd"] + LAMBDA_TRAJ * components["traj"])
+def phase1_loss_total(row: dict, config: ExperimentConfig) -> float:
+    """Recombine a logged phase-1 row's loss terms into its total (bookkeeping check)."""
+    return row["vel_rex"] + row["vel_img"] + LAMBDA_KD * row["kd"] + LAMBDA_TRAJ * row["traj"]
 
 
 # -- phase 2: student training --------------------------------------------------------
@@ -485,21 +465,21 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     for key in ("rex", "img"):
         if key not in vel_nets or not getattr(vel_nets[key], "trained", False):
             raise ValueError("train_phase2: velocity predictors must be trained (phase 1) first")
-    config, data, holdout, feats = exp.config, exp.data, exp.holdout, exp.feats
+    config, feats = exp.config, exp.feats
+    (data_lq, data_gt), (hold_lq, hold_gt) = exp.data, exp.holdout
     rng = nd.Rng(config.seed)
-    n = len(data)
+    n = config.dataset_size
     if student is None:
         student = StudentNet(rng.derive("student-init"), config.channels, cond_dim=config.feature_dim)
     teacher_side = StudentNet(rng.derive("student-init"), config.channels, prefix="teacher_side",
                               cond_dim=config.feature_dim)
     opt = Adam(student.params(), LR_PHASE2)
     loop = rng.derive("phase2-loop")
-    records = []
+    rows = []
     gate_hits = 0
 
     # the predictors are frozen, so the holdout conditioning is fixed
-    hold_z = rng.derive("phase2-holdout").normal((len(holdout), config.feature_dim))
-    hold_lq, hold_gt = stack_batch(holdout)
+    hold_z = rng.derive("phase2-holdout").normal((config.holdout_size, config.feature_dim))
     hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.teacher.conditioning(hold_lq)[0], T_MAX)[-1]
 
     def holdout_metric():
@@ -511,7 +491,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
 
     for it in range(config.phase2_iters):
         idx = loop.integers(0, n, config.batch_size)
-        lq, gt = stack_batch(data, idx)
+        lq, gt = data_lq[idx], data_gt[idx]
         t_idx = int(loop.integers(0, T_MAX + 1, ()))
         z = loop.normal((config.batch_size, config.feature_dim))
         # the trajectory state at time t_idx; z itself at t_idx = 0
@@ -541,31 +521,32 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
 
         total = l_rec + config.lambda_flex * l_flex \
             + LAMBDA_VEL * (l_vel["rex"] + l_vel["img"])
-        comps = {"total": total.item(), "rec": l_rec.item(), "flex": l_flex.item(),
-                 "vel_rex": l_vel["rex"].item(), "vel_img": l_vel["img"].item(),
-                 "gate_frac": gate_hits / (it + 1)}
 
         opt.zero_grad()
         total.backward()
         opt.step()
 
         if it % config.log_interval == 0 or it == config.phase2_iters - 1:
-            comps["holdout_l1"] = holdout_metric()
-            fmse = _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx])
-            records.append(MetricsRecord(it, comps, fmse, float("nan")))
+            rows.append({
+                "iteration": it, "total": total.item(), "rec": l_rec.item(),
+                "flex": l_flex.item(), "vel_rex": l_vel["rex"].item(),
+                "vel_img": l_vel["img"].item(), "holdout_l1": holdout_metric(),
+                "gate_frac": gate_hits / (it + 1),
+                "feature_mse": _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx]),
+                "frechet": float("nan"), "steps": T_MAX})
 
     summary = {
         "initial_holdout_l1": initial_holdout,
         # the last iteration is always logged, after the student's last step
-        "final_holdout_l1": records[-1].components["holdout_l1"],
+        "final_holdout_l1": rows[-1]["holdout_l1"],
         "gate_fraction": gate_hits / config.phase2_iters,
     }
-    return student, records, summary
+    return student, rows, summary
 
 
-def phase2_loss_total(components: dict, config: ExperimentConfig) -> float:
-    return (components["rec"] + config.lambda_flex * components["flex"]
-            + LAMBDA_VEL * (components["vel_rex"] + components["vel_img"]))
+def phase2_loss_total(row: dict, config: ExperimentConfig) -> float:
+    return (row["rec"] + config.lambda_flex * row["flex"]
+            + LAMBDA_VEL * (row["vel_rex"] + row["vel_img"]))
 
 
 # -- DDIM baseline training ------------------------------------------------------------
@@ -578,11 +559,11 @@ def train_ddim_baseline(exp: Experiment):
     rf.DDIM_ALPHA_BARS, the one the sampler reads."""
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
-    n = len(exp.data)
+    n = config.dataset_size
     T = len(rf.DDIM_ALPHA_BARS)
     net = nn.VelocityPredictor(rng.derive("ddim-init"), feature_dim=config.feature_dim,
                                t_max=T - 1, prefix="ddim")
-    opt = Adam(net.params(), config.lr_img)
+    opt = Adam(net.params(), config.lr_phase1)
     loop = rng.derive("ddim-loop")
 
     for it in range(config.ddim_iters):
@@ -626,8 +607,8 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
         raise ValueError("compare_samplers: both samplers must be trained")
     config = exp.config
     rng = nd.Rng(config.seed).derive("compare")
-    pairs = synth_dataset(rng.derive("eval-data"), config.compare_count, config.image_size)
-    evals = FeatureSet.build(exp.teacher, pairs)
+    evals = FeatureSet.build(exp.teacher, *synth_dataset(rng.derive("eval-data"),
+                                                         config.compare_count, config.image_size))
     z = rng.derive("eval-z").normal((config.compare_count, config.feature_dim))
     mu_ref, cov_ref = evals.f_img.mean(axis=0), np.cov(evals.f_img, rowvar=False)
 
@@ -657,9 +638,9 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
 
 # -- outputs of each phase ------------------------------------------------------------------
 
-def save_phase1(outdir, nets: dict, records: list) -> None:
+def save_phase1(outdir, nets: dict, rows: list) -> None:
     os.makedirs(outdir, exist_ok=True)
-    write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), records, PHASE1_COMPONENTS)
+    write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), rows, PHASE1_COLUMNS)
     for key in ("rex", "img"):
         nn.save_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}"), nets[key].params())
 
@@ -676,9 +657,9 @@ def load_phase1(config: ExperimentConfig, outdir) -> dict:
     return nets
 
 
-def save_phase2(outdir, student: StudentNet, records: list) -> None:
+def save_phase2(outdir, student: StudentNet, rows: list) -> None:
     os.makedirs(outdir, exist_ok=True)
-    write_metrics_csv(os.path.join(outdir, "phase2_metrics.csv"), records, PHASE2_COMPONENTS)
+    write_metrics_csv(os.path.join(outdir, "phase2_metrics.csv"), rows, PHASE2_COLUMNS)
     nn.save_checkpoint(os.path.join(outdir, "ckpt_student"), student.params())
 
 
@@ -688,23 +669,23 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
     """Run both phases end to end; returns a summary dict and, when outdir is
     given, writes metrics CSVs and checkpoints there."""
     exp = Experiment(config)
-    nets, p1_records = train_phase1(exp)
-    student, p2_records, p2_summary = train_phase2(exp, nets)
+    nets, p1_rows = train_phase1(exp)
+    student, p2_rows, p2_summary = train_phase2(exp, nets)
 
     summary = {
-        "phase1_initial_vel": p1_records[0].components["vel_rex"] + p1_records[0].components["vel_img"],
-        "phase1_final_vel": p1_records[-1].components["vel_rex"] + p1_records[-1].components["vel_img"],
+        "phase1_initial_vel": p1_rows[0]["vel_rex"] + p1_rows[0]["vel_img"],
+        "phase1_final_vel": p1_rows[-1]["vel_rex"] + p1_rows[-1]["vel_img"],
         **p2_summary,
     }
     if outdir:
-        save_phase1(outdir, nets, p1_records)
-        save_phase2(outdir, student, p2_records)
+        save_phase1(outdir, nets, p1_rows)
+        save_phase2(outdir, student, p2_rows)
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     summary["nets"] = nets
     summary["student"] = student
     summary["experiment"] = exp
-    summary["phase1_records"] = p1_records
-    summary["phase2_records"] = p2_records
+    summary["phase1_rows"] = p1_rows
+    summary["phase2_rows"] = p2_rows
     return summary

@@ -172,8 +172,8 @@ def test_criterion_07_desk_distillation(default_run):
         f"holdout L1 {s['initial_holdout_l1']:.4f} -> {s['final_holdout_l1']:.4f}"
     assert abs(s["gate_fraction"] - 0.4) <= 0.05, f"gate fraction {s['gate_fraction']}"
     assert s["elapsed"] < 300.0, f"distillation took {s['elapsed']:.0f}s"
-    # loss trend contract: median of the last 10% of records below the first 10%
-    totals = [r.components["total"] for r in s["phase1_records"]]
+    # loss trend contract: median of the last 10% of logged rows below the first 10%
+    totals = [row["total"] for row in s["phase1_rows"]]
     k = max(1, len(totals) // 10)
     assert float(np.median(totals[-k:])) < float(np.median(totals[:k]))
     report(7, f"seed 42 default config: velocity loss x{vel_ratio:.3f} (<0.5), holdout L1 "

@@ -55,6 +55,11 @@ def test_report_lists_one_entry_per_registered_check(registry_report):
     assert names == [name for name, _ in checks.CHECKS]
 
 
+def test_run_checks_rejects_an_unregistered_name():
+    with pytest.raises(ValueError, match="inv_no_such_check"):
+        checks.run_checks(names=[checks.CHECKS[0][0], "inv_no_such_check"])
+
+
 def _named_op(name):
     """The autodiff function an fd_ check is named after (fd_abs -> abs_), or None."""
     for attr in (name[3:], name[3:] + "_"):

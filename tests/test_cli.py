@@ -140,7 +140,7 @@ def test_non_default_feature_dim_runs(tmp_path):
                                          ("train-phase1", {"phase1_iters": 2.5}),
                                          ("train-phase1", {"batch_size": 2.5}),
                                          ("train-phase1", {"image_size": 8.0}),
-                                         ("train-phase1", {"lr_rex": "0.1"}),
+                                         ("train-phase1", {"lr_phase1": "0.1"}),
                                          ("train-phase1", {"sampler_steps": 3}),
                                          ("train-phase1", {"seed": 1.5}),
                                          ("train-phase1", {"seed": True}),
@@ -158,14 +158,14 @@ def test_unusable_config_exits_1_before_training(tmp_path, capsys, monkeypatch, 
 
 
 def test_diverging_adam_exits_1_naming_the_param(tmp_path, capsys):
-    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=1e2, lr_img=1e2)
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_phase1=1e2)
     assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert "restorect distill: adam: second moment of vel_" in err
 
 
 def test_op_level_floating_point_error_exits_1_without_traceback(tmp_path, capsys):
-    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=1e4, lr_img=1e4)
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_phase1=1e4)
     assert cli.main(["distill", "--config", config, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("restorect distill: ") and err.count("\n") == 1, err
@@ -175,7 +175,7 @@ def test_op_level_floating_point_error_exits_1_without_traceback(tmp_path, capsy
 def test_diverging_run_prints_one_stderr_line_in_a_fresh_process(tmp_path, lr):
     """Outside pytest nothing captures numpy's RuntimeWarnings, so only a
     fresh interpreter shows what a user sees on stderr."""
-    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_rex=lr, lr_img=lr)
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=2, lr_phase1=lr)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import tracemalloc
@@ -33,9 +34,10 @@ def test_config_roundtrip_and_unknown_keys(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="unknown keys"):
         dh.load_config(path)
-    # fixed by the method (module constants), so a config cannot set them
+    # fixed by the method (module constants), or merged into lr_phase1, so a
+    # config cannot set them
     for removed in ("lambda_kd", "lambda_traj", "lambda_vel", "lr_phase2", "t_max",
-                    "ddim_train_steps", "ddim_max_beta", "head_count"):
+                    "ddim_train_steps", "ddim_max_beta", "head_count", "lr_rex", "lr_img"):
         path.write_text(json.dumps({removed: 1}))
         with pytest.raises(ValueError, match=f"unknown keys \\['{removed}'\\]"):
             dh.load_config(path)
@@ -46,23 +48,33 @@ def test_config_partial_file_uses_defaults(tmp_path):
     path.write_text('{"seed": 5, "phase1_iters": 10}')
     cfg = dh.load_config(path)
     assert cfg.seed == 5 and cfg.phase1_iters == 10
-    assert cfg.lr_rex == 2e-4
+    assert cfg.lr_phase1 == 2e-4
     assert cfg.lambda_flex == 0.15
 
 
-def test_config_validation():
-    for bad in ({"lr_rex": 0.0}, {"image_size": 10}, {"sampler_steps": [0, 3]},
+def test_config_validation(tmp_path):
+    for bad in ({"lr_phase1": 0.0}, {"image_size": 10}, {"sampler_steps": [0, 3]},
                 {"holdout_size": -2}, {"holdout_size": 0}, {"log_interval": 0},
                 {"dataset_size": 0}, {"sampler_steps": [2.5]}, {"compare_count": 1},
                 {"image_size": 0}, {"channels": 0}, {"phase1_iters": 0}, {"ddim_iters": 0},
                 {"sampler_steps": []}, {"phase2_iters": 0},
                 # a value of the wrong type is refused, not truncated later
                 {"phase1_iters": 2.5}, {"batch_size": 2.5}, {"image_size": 8.0},
-                {"lr_rex": "0.1"}, {"sampler_steps": 3}, {"seed": 1.5}, {"seed": True},
-                {"lr_img": True}, {"sampler_steps": [2.0]}, {"sampler_steps": [True]}):
+                {"lr_phase1": "0.1"}, {"sampler_steps": 3}, {"seed": 1.5}, {"seed": True},
+                {"lr_phase1": True}, {"sampler_steps": [2.0]}, {"sampler_steps": [True]},
+                # a float must be finite, and the flex weight cannot be negative
+                {"lambda_flex": float("nan")}, {"lr_phase1": float("inf")},
+                {"lambda_flex": float("-inf")}, {"lambda_flex": -5}, {"lambda_flex": -1e-3}):
         (field,) = bad
         with pytest.raises(ValueError, match=field):
             dh.ExperimentConfig(**bad)
+    # json reads the literals NaN and Infinity as floats
+    path = tmp_path / "cfg.json"
+    for text, field in (('{"lambda_flex": NaN}', "lambda_flex"),
+                        ('{"lr_phase1": Infinity}', "lr_phase1")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            dh.load_config(path)
 
 
 # -- optimizer -----------------------------------------------------------------------
@@ -103,24 +115,21 @@ def test_adam_raises_naming_the_param_once_its_second_moment_is_not_finite(g):
 # -- synthetic data --------------------------------------------------------------------
 
 def test_synth_dataset_deterministic():
-    a = dh.synth_dataset(nd.Rng(3), 5, 8)
-    b = dh.synth_dataset(nd.Rng(3), 5, 8)
-    for (lq1, gt1), (lq2, gt2) in zip(a, b):
-        np.testing.assert_array_equal(lq1, lq2)
-        np.testing.assert_array_equal(gt1, gt2)
+    lq1, gt1 = dh.synth_dataset(nd.Rng(3), 5, 8)
+    lq2, gt2 = dh.synth_dataset(nd.Rng(3), 5, 8)
+    np.testing.assert_array_equal(lq1, lq2)
+    np.testing.assert_array_equal(gt1, gt2)
 
 
 def test_synth_dataset_shapes_and_range():
-    pairs = dh.synth_dataset(nd.Rng(4), 6, 8)
-    for lq, gt in pairs:
-        assert lq.shape == (3, 8, 8) and gt.shape == (3, 8, 8)
-        assert lq.min() >= 0.0 and lq.max() <= 1.0
-        assert gt.min() >= 0.0 and gt.max() <= 1.0
+    lq, gt = dh.synth_dataset(nd.Rng(4), 6, 8)
+    assert lq.shape == gt.shape == (6, 3, 8, 8)
+    assert lq.min() >= 0.0 and lq.max() <= 1.0
+    assert gt.min() >= 0.0 and gt.max() <= 1.0
 
 
 def test_synth_dataset_lq_darker_than_gt():
-    pairs = dh.synth_dataset(nd.Rng(5), 10, 8)
-    for lq, gt in pairs:
+    for lq, gt in zip(*dh.synth_dataset(nd.Rng(5), 10, 8)):
         assert lq.mean() < gt.mean()
 
 
@@ -164,12 +173,11 @@ BLOCK = dh.SYNTH_BLOCK_ROWS
 @pytest.mark.parametrize("image_size", [4, 8, 16])
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 80, 512])
 def test_synth_dataset_is_bit_equal_to_the_item_by_item_loop(n, image_size):
-    got = dh.synth_dataset(nd.Rng(n).derive("d"), n, image_size)
+    lq, gt = dh.synth_dataset(nd.Rng(n).derive("d"), n, image_size)
     want = reference_synth_dataset(nd.Rng(n).derive("d"), n, image_size)
-    assert len(got) == n
-    for (lq, gt), (lq_ref, gt_ref) in zip(got, want):
-        assert lq.shape == gt.shape == (3, image_size, image_size)
-        assert lq.tobytes() == lq_ref.tobytes() and gt.tobytes() == gt_ref.tobytes()
+    assert lq.shape == gt.shape == (n, 3, image_size, image_size)
+    for i, (lq_ref, gt_ref) in enumerate(want):
+        assert lq[i].tobytes() == lq_ref.tobytes() and gt[i].tobytes() == gt_ref.tobytes()
 
 
 def test_synth_dataset_of_512_pairs_peaks_within_1_mb_of_its_output():
@@ -178,11 +186,11 @@ def test_synth_dataset_of_512_pairs_peaks_within_1_mb_of_its_output():
     dh.synth_dataset(nd.Rng(1), 1, 16)
     tracemalloc.start()
     try:
-        pairs = dh.synth_dataset(nd.Rng(0), 512, 16)
+        lq, gt = dh.synth_dataset(nd.Rng(0), 512, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = sum(lq.nbytes + gt.nbytes for lq, gt in pairs)
+    output = lq.nbytes + gt.nbytes
     assert peak - output < 1e6, (peak, output)
 
 
@@ -196,8 +204,7 @@ def test_synth_dataset_rejects_nonpositive_n():
 def test_teacher_deterministic_and_shapes():
     rng = nd.Rng(6)
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=8, feature_dim=64)
-    pairs = dh.synth_dataset(rng.derive("d"), 4, 8)
-    lq, gt = dh.stack_batch(pairs)
+    lq, gt = dh.synth_dataset(rng.derive("d"), 4, 8)
     f_rex, f_img = teacher.encode_pair(lq, gt)
     assert f_rex.shape == (4, 64) and f_img.shape == (4, 64)
     f_rex2, f_img2 = teacher.encode_pair(lq, gt)
@@ -227,7 +234,7 @@ def test_teacher_features_are_bit_equal_to_the_numpy_forward(seed):
     rng = nd.Rng(seed)
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=32)
     for n in (6, 65, 150):
-        lq, gt = dh.stack_batch(dh.synth_dataset(rng.derive(f"d{n}"), n, 16))
+        lq, gt = dh.synth_dataset(rng.derive(f"d{n}"), n, 16)
         for got, pooled in ((teacher.encode_pair(lq, gt), reference_pool(teacher, lq, gt)),
                             (teacher.conditioning(lq), reference_pool(teacher, lq, lq))):
             assert got[0].tobytes() == (pooled @ teacher.h_rex).tobytes()
@@ -238,10 +245,10 @@ def test_teacher_encoding_of_512_pairs_peaks_below_32_mb():
     # a one-shot pass over 512 pairs peaks at ~110 MB in the convs' im2col windows
     rng = nd.Rng(0)
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=256)
-    pairs = dh.synth_dataset(rng.derive("d"), 512, 16)
+    lq, gt = dh.synth_dataset(rng.derive("d"), 512, 16)
     tracemalloc.start()
     try:
-        dh.FeatureSet.build(teacher, pairs)
+        dh.FeatureSet.build(teacher, lq, gt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,11 +259,11 @@ def test_teacher_encoding_of_512_pairs_peaks_below_32_mb():
 
 def test_phase1_components_sum_to_total():
     cfg = small_config()
-    _, records = dh.train_phase1(dh.Experiment(cfg))
-    assert records
-    for rec in records:
-        recon = dh.phase1_loss_total(rec.components, cfg)
-        assert abs(recon - rec.components["total"]) < 1e-10
+    _, rows = dh.train_phase1(dh.Experiment(cfg))
+    assert rows
+    for row in rows:
+        recon = dh.phase1_loss_total(row, cfg)
+        assert abs(recon - row["total"]) < 1e-10
 
 
 # -- phase 2 --------------------------------------------------------------------------------
@@ -274,10 +281,10 @@ def test_phase2_requires_trained_nets():
 def test_phase2_components_sum_and_gate_bookkeeping():
     exp = dh.Experiment(small_config())
     nets, _ = dh.train_phase1(exp)
-    _, records, summary = dh.train_phase2(exp, nets)
-    for rec in records:
-        recon = dh.phase2_loss_total(rec.components, exp.config)
-        assert abs(recon - rec.components["total"]) < 1e-10
+    _, rows, summary = dh.train_phase2(exp, nets)
+    for row in rows:
+        recon = dh.phase2_loss_total(row, exp.config)
+        assert abs(recon - row["total"]) < 1e-10
     assert 0.0 <= summary["gate_fraction"] <= 1.0
 
 
@@ -295,10 +302,10 @@ def test_phase2_runs_one_holdout_forward_per_logged_row_plus_the_initial_one(mon
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(dh.StudentNet, "forward", spy)
-    student, records, summary = dh.train_phase2(exp, nets)
-    assert [r.iteration for r in records] == [0, 5, 10, 11]
-    assert sum(net is student for net in no_grad_forwards) == len(records) + 1
-    assert summary["final_holdout_l1"] == records[-1].components["holdout_l1"]
+    student, rows, summary = dh.train_phase2(exp, nets)
+    assert [row["iteration"] for row in rows] == [0, 5, 10, 11]
+    assert sum(net is student for net in no_grad_forwards) == len(rows) + 1
+    assert summary["final_holdout_l1"] == rows[-1]["holdout_l1"]
 
 
 def test_phase2_flex_ablation_changes_training():
@@ -326,6 +333,20 @@ def test_distill_writes_outputs_and_freeze_holds(seed7_distill):
     for ck in ("ckpt_vel_rex", "ckpt_vel_img", "ckpt_student"):
         assert (out / ck / "manifest.txt").exists()
     assert np.isfinite(summary["final_holdout_l1"])
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_logged_rows_are_the_csv_rows(seed7_distill, phase):
+    out, summary = seed7_distill
+    rows = summary[f"phase{phase}_rows"]
+    columns = getattr(dh, f"PHASE{phase}_COLUMNS")
+    with open(out / f"phase{phase}_metrics.csv", newline="", encoding="utf-8") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert header == columns
+    assert rows and all(set(row) == set(columns) for row in rows)
+    # NaN (phase 2's frechet) compares equal to NaN here
+    np.testing.assert_array_equal(np.array(cells, dtype=float),
+                                  [[row[c] for c in columns] for row in rows])
 
 
 def test_distill_seed_changes_metrics(seed7_distill, tmp_path):
@@ -434,13 +455,17 @@ def test_phase2_holdout_l1_raises_naming_the_metric():
 # -- metrics CSV ------------------------------------------------------------------------------------
 
 def test_metrics_csv_layout(tmp_path):
-    records = [
-        dh.MetricsRecord(0, {"total": 1.5, "a": 1.0, "b": 0.5}, 0.25, 3.0),
-        dh.MetricsRecord(10, {"total": 1.0, "a": 0.75, "b": 0.25}, 0.2, 2.5),
+    columns = ["iteration", "total", "a", "b", "feature_mse", "frechet", "steps"]
+    rows = [
+        {"iteration": 0, "total": 1.5, "a": 1.0, "b": 0.5, "feature_mse": 0.25,
+         "frechet": 3.0, "steps": 4, "wall_ms": 12.5},
+        {"iteration": 10, "total": 1.0, "a": 0.75, "b": 0.25, "feature_mse": 0.2,
+         "frechet": float("nan"), "steps": 4, "wall_ms": 11.0},
     ]
     path = tmp_path / "m.csv"
-    dh.write_metrics_csv(path, records, ["total", "a", "b"])
+    dh.write_metrics_csv(path, rows, columns)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,total,a,b,feature_mse,frechet,steps"
-    assert lines[1].startswith("0,1.5,1.0,0.5,")
-    assert "wall" not in lines[0]  # wall time never enters the reproducible CSV
+    assert lines == ["iteration,total,a,b,feature_mse,frechet,steps",
+                     "0,1.5,1.0,0.5,0.25,3.0,4", "10,1.0,0.75,0.25,0.2,nan,4"]
+    # wall time never enters the reproducible CSVs
+    assert not [c for c in dh.PHASE1_COLUMNS + dh.PHASE2_COLUMNS if "wall" in c]

@@ -4,7 +4,7 @@ import pytest
 from restorect import autodiff as ad
 from restorect import ndtensor as nd
 from restorect import nn_blocks as nn
-from restorect.distill_harness import Adam, stack_batch, synth_dataset
+from restorect.distill_harness import Adam, synth_dataset
 
 
 # -- SCLN ------------------------------------------------------------------------
@@ -133,8 +133,7 @@ def test_decompose_trained_reconstruction():
     # image to better than 0.05 mean L1
     rng = nd.Rng(42)
     net = nn.DecompositionNet(rng.derive("dec"))
-    data = synth_dataset(rng.derive("data"), 16, 8)
-    _, gt = stack_batch(data)
+    _, gt = synth_dataset(rng.derive("data"), 16, 8)
     opt = Adam(net.params(), 3e-3)
     for it in range(300):
         s = (it % 4) * 4
