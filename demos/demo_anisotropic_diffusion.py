@@ -21,22 +21,22 @@ def main():
     ramp = np.tile(np.linspace(0.0, 1.0, n), (n, 1))[None, None]
 
     for s_val in (0.05, 0.5):
-        params = ani.DiffusionParams(s=ad.Param(s_val, "s", lo=0.01, hi=1.0))
-        edge_resp = ani.anisotropic_operator(ad.constant(edge), params).data
-        ramp_resp = ani.anisotropic_operator(ad.constant(ramp), params).data
+        s = ani.edge_sensitivity(s_val)
+        edge_resp = ani.anisotropic_operator(ad.constant(edge), s).data
+        ramp_resp = ani.anisotropic_operator(ad.constant(ramp), s).data
         print(f"s={s_val}: |A(edge)|_max={np.abs(edge_resp).max():.5f}  "
               f"|A(ramp)|_max={np.abs(ramp_resp).max():.5f}  "
               f"sum(A(edge))={edge_resp.sum():+.2e}")
     print("small s treats even the ramp's slope as an edge; larger s smooths it\n")
 
-    params = ani.DiffusionParams()
+    s = ani.edge_sensitivity()
     noisy = np.clip(edge + nd.Rng(0).normal(edge.shape, scale=0.05), 0.0, 1.0)
     print("texture loss is zero only when diffusion responses agree:")
-    print(f"  L_tex(edge, edge)        = {ani.texture_loss(ad.constant(edge), ad.constant(edge), params).item():.6f}")
+    print(f"  L_tex(edge, edge)        = {ani.texture_loss(ad.constant(edge), ad.constant(edge), s).item():.6f}")
     print(f"  L_tex(edge, edge + 0.3)  = "
-          f"{ani.texture_loss(ad.constant(edge), ad.constant(np.clip(edge + 0.3, 0, 1)), params).item():.6f}"
+          f"{ani.texture_loss(ad.constant(edge), ad.constant(np.clip(edge + 0.3, 0, 1)), s).item():.6f}"
           " (constants are invisible)")
-    print(f"  L_tex(edge, noisy edge)  = {ani.texture_loss(ad.constant(edge), ad.constant(noisy), params).item():.6f}")
+    print(f"  L_tex(edge, noisy edge)  = {ani.texture_loss(ad.constant(edge), ad.constant(noisy), s).item():.6f}")
 
     print("\nillumination smoothness prefers one sharp edge over a shallow ramp")
     print("of the same total rise (per unit of raw gradient energy):")
@@ -48,9 +48,9 @@ def main():
               f"ratio={loss / energy:.4f}")
 
     # the sensitivity s is a learnable parameter and receives gradient
-    params.s.zero_grad()
-    ani.texture_loss(ad.constant(edge), ad.constant(noisy), params).backward()
-    print(f"\nd L_tex / d s = {params.s.grad.item():+.6f} (s is trainable, "
+    s.zero_grad()
+    ani.texture_loss(ad.constant(edge), ad.constant(noisy), s).backward()
+    print(f"\nd L_tex / d s = {s.grad.item():+.6f} (s is trainable, "
           f"clamped to {ani.S_BOUNDS})")
 
 

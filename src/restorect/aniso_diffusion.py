@@ -9,8 +9,6 @@ sums to zero over the image and constants are annihilated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -19,15 +17,9 @@ from .autodiff import Param, Tensor
 S_BOUNDS = (0.01, 1.0)
 
 
-@dataclass
-class DiffusionParams:
-    """Learnable edge sensitivity s, clamped to [0.01, 1.0] after updates."""
-
-    s: Param = None
-
-    def __post_init__(self):
-        if self.s is None:
-            self.s = Param(0.1, "aniso.s", lo=S_BOUNDS[0], hi=S_BOUNDS[1])
+def edge_sensitivity(s: float = 0.1) -> Param:
+    """The learnable edge sensitivity s, clamped to S_BOUNDS after every update."""
+    return Param(s, "aniso.s", lo=S_BOUNDS[0], hi=S_BOUNDS[1])
 
 
 def _check_image(x: Tensor, name: str) -> Tensor:
@@ -71,23 +63,23 @@ def _divergence(px: Tensor, py: Tensor) -> Tensor:
     return div_x + div_y
 
 
-def anisotropic_operator(x: Tensor, params: DiffusionParams) -> Tensor:
+def anisotropic_operator(x: Tensor, s: Param) -> Tensor:
     """A(x) = div(c(|grad x|) * grad x) with conductance
     c = exp(-|grad x|^2 / s^2); differentiable in both x and s."""
     x = _check_image(x, "anisotropic_operator")
     gx, gy = spatial_gradients(x)
     g2 = gx * gx + gy * gy
-    c = ad.exp(-g2 / (params.s * params.s))
+    c = ad.exp(-g2 / (s * s))
     return _divergence(c * gx, c * gy)
 
 
-def texture_loss(input_img: Tensor, r_pred: Tensor, params: DiffusionParams) -> Tensor:
+def texture_loss(input_img: Tensor, r_pred: Tensor, s: Param) -> Tensor:
     """Mean L1 between the diffusion responses of the input and the predicted
     reflectance; zero iff the two responses agree."""
     input_img, r_pred = ad.constant(input_img), ad.constant(r_pred)
     if input_img.shape != r_pred.shape:
         raise ValueError(f"texture_loss: shape mismatch {input_img.shape} vs {r_pred.shape}")
-    return ad.mean(ad.abs_(anisotropic_operator(input_img, params) - anisotropic_operator(r_pred, params)))
+    return ad.mean(ad.abs_(anisotropic_operator(input_img, s) - anisotropic_operator(r_pred, s)))
 
 
 def illumination_smoothness_loss(lum: Tensor) -> Tensor:

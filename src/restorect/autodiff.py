@@ -182,6 +182,18 @@ class Param(Tensor):
         return f"Param({self.name}, shape={self.shape})"
 
 
+def params_of(*parts) -> dict:
+    """The name -> Param dict of `parts`, in order: a Param adds itself under
+    its name, any other part adds its own params()."""
+    out = {}
+    for part in parts:
+        if isinstance(part, Param):
+            out[part.name] = part
+        else:
+            out.update(part.params())
+    return out
+
+
 _grad_enabled = True
 
 

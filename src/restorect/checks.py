@@ -149,9 +149,9 @@ def fd_pixel_unshuffle(seed):
 @fd_case("fd_scln")
 def fd_scln(seed):
     x = ad.Param(nd.Rng(seed).normal((1, 4, 3, 3)), "x")
-    params = nn.SclnParams.create(4)
+    gamma = ad.Param(np.ones(4), "gamma")
     probe = ad.constant(nd.Rng(seed + 11).normal((1, 4, 3, 3)))
-    return (lambda: ad.mean(nn.scln(x, params) * probe)), [x, params.gamma]
+    return (lambda: ad.mean(nn.scln(x, gamma) * probe)), [x, gamma]
 
 
 @fd_case("fd_qk_attention", max_entries=6)
@@ -218,9 +218,9 @@ def fd_velocity(seed):
 @fd_case("fd_anisotropic_operator")
 def fd_aniso(seed):
     x = ad.Param(nd.Rng(seed).normal((1, 1, 4, 4)) * 0.3, "x")
-    params = ani.DiffusionParams()
+    s = ani.edge_sensitivity()
     probe = ad.constant(nd.Rng(seed + 13).normal((1, 1, 4, 4)))
-    return (lambda: ad.mean(ani.anisotropic_operator(x, params) * probe)), [x, params.s]
+    return (lambda: ad.mean(ani.anisotropic_operator(x, s) * probe)), [x, s]
 
 
 def _hvi_rgb(rng) -> np.ndarray:
@@ -232,14 +232,14 @@ def _hvi_rgb(rng) -> np.ndarray:
 def fd_hvi(seed):
     rng = nd.Rng(seed)
     img = ad.Param(_hvi_rgb(rng), "rgb")
-    params = hvi.HviParams()
+    k = hvi.chroma_density()
     probes = [ad.constant(rng.normal((1, 1, 3, 3))) for _ in range(3)]
 
     def f():
-        out = hvi.to_polarized_hvi(img, params)
+        out = hvi.to_polarized_hvi(img, k)
         return sum((ad.mean(p * q) for p, q in zip(out.planes(), probes)), ad.constant(0.0))
 
-    return f, [img, params.k]
+    return f, [img, k]
 
 
 def _loss_case_inputs(seed):
@@ -268,8 +268,8 @@ for _name, _loss in (("vgg", "perceptual_loss"), ("sty", "style_loss")):
 def fd_loss_tex(seed):
     rng, pred, _ = _loss_case_inputs(seed)
     inp = ad.constant(rng.uniform((1, 3, 4, 4)))
-    params = ani.DiffusionParams()
-    return (lambda: ani.texture_loss(inp, pred, params)), [pred, params.s]
+    s = ani.edge_sensitivity()
+    return (lambda: ani.texture_loss(inp, pred, s)), [pred, s]
 
 
 @fd_case("fd_loss_lum")
@@ -283,8 +283,8 @@ def fd_loss_col(seed):
     rng = nd.Rng(seed)
     pred = ad.Param(_hvi_rgb(rng), "pred")
     gt = ad.constant(rng.uniform((1, 3, 3, 3), 0.1, 0.9))
-    params = hvi.HviParams()
-    return (lambda: hvi.polarized_color_loss(pred, gt, params)), [pred, params.k]
+    k = hvi.chroma_density()
+    return (lambda: hvi.polarized_color_loss(pred, gt, k)), [pred, k]
 
 
 @fd_case("fd_loss_vel", max_entries=6)
@@ -410,7 +410,7 @@ def inv_logit_bound():
 def inv_scln():
     for seed in (7, *range(5)):
         x = nd.Rng(seed).normal((3, 6, 4, 4)) * 2.0 + 0.5
-        y = nn.scln(ad.constant(x), nn.SclnParams.create(6)).data
+        y = nn.scln(ad.constant(x), ad.Param(np.ones(6), "gamma")).data
         mean_ok = np.abs(y.mean(axis=(1, 2, 3))).max() < 1e-8
         var_ok = np.abs(y.var(axis=(1, 2, 3)) - 1.0).max() < 1e-4
         if not (mean_ok and var_ok):
@@ -446,7 +446,7 @@ def inv_aniso_sum():
     dev = 0.0
     for seed in (10, *range(5)):
         out = ani.anisotropic_operator(ad.constant(nd.Rng(seed).normal((1, 3, 7, 7))),
-                                       ani.DiffusionParams())
+                                       ani.edge_sensitivity())
         dev = max(dev, abs(out.data.sum()) / out.data.size)
     return bool(dev < 1e-8), f"mean dev {dev:.2e} over 6 seeds"
 
@@ -454,17 +454,16 @@ def inv_aniso_sum():
 @check("inv_aniso_translation_invariant")
 def inv_aniso_shift():
     img = nd.Rng(11).normal((1, 1, 6, 6))
-    params = ani.DiffusionParams()
-    a = ani.anisotropic_operator(ad.constant(img), params).data
-    b = ani.anisotropic_operator(ad.constant(img + 3.0), params).data
+    s = ani.edge_sensitivity()
+    a = ani.anisotropic_operator(ad.constant(img), s).data
+    b = ani.anisotropic_operator(ad.constant(img + 3.0), s).data
     return bool(np.abs(a - b).max() < 1e-12), "A(x+c) == A(x)"
 
 
 @check("inv_aniso_laplacian_limit")
 def inv_aniso_lap():
     img = nd.Rng(12).normal((8, 8)) * 1e-3
-    params = ani.DiffusionParams(s=ad.Param(1.0, "s", lo=0.01, hi=1.0))
-    got = ani.anisotropic_operator(ad.constant(img[None, None]), params).data[0, 0]
+    got = ani.anisotropic_operator(ad.constant(img[None, None]), ani.edge_sensitivity(1.0)).data[0, 0]
     gx = np.zeros_like(img)
     gy = np.zeros_like(img)
     gx[:, :-1] = img[:, 1:] - img[:, :-1]
@@ -482,20 +481,20 @@ def inv_aniso_lap():
 def inv_hvi_red():
     delta = 1e-3
     arr = np.array([hvi.hue_rgb(6.0 - delta), hvi.hue_rgb(delta)]).T.reshape(1, 3, 1, 2)
-    out = hvi.to_polarized_hvi(ad.constant(arr), hvi.HviParams())
+    out = hvi.to_polarized_hvi(ad.constant(arr), hvi.chroma_density())
     gap = max(abs(float(p.data[0, 0, 0, 0] - p.data[0, 0, 0, 1])) for p in out.planes())
     return bool(gap < 1e-2), f"boundary gap {gap:.2e}"
 
 
 @check("inv_hvi_dark_stability")
 def inv_hvi_dark():
-    black = hvi.to_polarized_hvi(ad.constant(np.zeros((1, 3, 1, 1))), hvi.HviParams())
+    black = hvi.to_polarized_hvi(ad.constant(np.zeros((1, 3, 1, 1))), hvi.chroma_density())
     exact = all(p.data.item() == 0.0 for p in black.planes())
     # two pixels at intensity 1, saturations 0.8 and 1, scaled down to intensity v
     pixels = np.array([(1.0, 0.7, 0.2), hvi.hue_rgb(0.7)]).T.reshape(1, 3, 1, 2)
     mags, bounded = [], True
     for v in (0.2, 0.1, 0.05, 0.01, 0.001):
-        out = hvi.to_polarized_hvi(ad.constant(v * pixels), hvi.HviParams())
+        out = hvi.to_polarized_hvi(ad.constant(v * pixels), hvi.chroma_density())
         mags.append(sum(np.abs(p.data[0, 0, 0]) for p in out.planes()))
         # at k = 1: |h| + |v| <= sqrt(2) sin(pi I / 2) <= sqrt(2) pi I / 2, and |i| = I = v
         bounded = bounded and np.all(mags[-1] < (math.sqrt(2.0) * math.pi / 2.0 + 1.0) * v + 1e-6)
@@ -608,7 +607,7 @@ def inv_teacher_obj():
         l_pred = ad.constant(rng.uniform((1, 1, 8, 8)))
         inp = ad.constant(rng.uniform((1, 3, 8, 8)))
         total, comps = nn.teacher_objective(pred, gt, r_pred, l_pred, inp, ext,
-                                            hvi.HviParams(), ani.DiffusionParams())
+                                            hvi.chroma_density(), ani.edge_sensitivity())
         weighted = sum(nn.TEACHER_WEIGHTS[k] * v.item() for k, v in comps.items())
         dev = max(dev, abs(total.item() - weighted))
     return bool(dev < 1e-10), f"decomposition dev {dev:.2e} over 3 seeds"
@@ -648,8 +647,9 @@ def inv_ddim():
 def run_checks(names=None, report_path=None) -> dict:
     """Execute registered checks (all, or the named subset) and return the
     report dict, also written to `report_path` as JSON when a path is given.
-    A check fails cleanly if it returns falsy or raises; a name that is not
-    registered raises ValueError before any check runs."""
+    A check returns (passed, detail); it fails cleanly if passed is falsy or
+    it raises (a bare bool raises the TypeError of the unpacking). A name that
+    is not registered raises ValueError before any check runs."""
     unknown = sorted(set(names or ()) - {name for name, _ in CHECKS})
     if unknown:
         raise ValueError(f"run_checks: no registered check named {unknown}")
@@ -659,8 +659,7 @@ def run_checks(names=None, report_path=None) -> dict:
             continue
         t0 = time.perf_counter()
         try:
-            out = fn()
-            passed, detail = out if isinstance(out, tuple) else (bool(out), "")
+            passed, detail = fn()
         except Exception as exc:  # a crashing check is a failing check
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append({

@@ -3,8 +3,7 @@ distillation pipeline, the sampler comparison table, and small demos of the
 color transform and the diffusion operator.
 
 Exit codes: 0 success, 1 check or experiment failure, 2 usage error. The
-RESTORECT_SEED environment variable overrides the config seed; an explicit
---seed flag wins over both. All output files land under --out.
+--seed flag overrides the config seed. All output files land under --out.
 """
 
 from __future__ import annotations
@@ -63,10 +62,7 @@ def resolve_config(args) -> dh.ExperimentConfig:
         config = dh.load_config(args.config)
     else:
         config = dh.ExperimentConfig()
-    env_seed = os.environ.get("RESTORECT_SEED")
-    if env_seed is not None:
-        config.seed = int(env_seed)
-    if args.seed is not None:  # explicit flag wins over the environment
+    if args.seed is not None:
         config.seed = args.seed
     return config
 
@@ -151,10 +147,9 @@ def cmd_demo_hvi(args) -> int:
     """Hue sweep at S=1, I=1: polarized coordinates are periodic and continuous
     across the red boundary."""
     os.makedirs(args.out, exist_ok=True)
-    params = hvi.HviParams()
     hues = np.concatenate([np.linspace(0.0, 5.999, 120), [1e-3, 6.0 - 1e-3]])
     arr = np.array([hvi.hue_rgb(h) for h in hues]).T.reshape(1, 3, 1, -1)
-    out = hvi.to_polarized_hvi(ad.constant(arr), params)
+    out = hvi.to_polarized_hvi(ad.constant(arr), hvi.chroma_density())
     path = os.path.join(args.out, "hvi_hue_sweep.csv")
     nd.write_csv(path, ["hue", "h_polar", "v_polar", "i_polar"],
                  zip(hues, *(p.data[0, 0, 0] for p in (out.h_polar, out.v_polar, out.i_polar))))
@@ -175,10 +170,8 @@ def cmd_demo_diffusion(args) -> int:
     img[:, :, :, n // 2:] = 1.0
     img += nd.Rng(config.seed).normal(img.shape, scale=0.02)
     img = np.clip(img, 0.0, 1.0)
-    responses = []
-    for s in (0.05, 0.1, 0.5):
-        params = ani.DiffusionParams(s=ad.Param(s, "s", lo=0.01, hi=1.0))
-        responses.append(ani.anisotropic_operator(ad.constant(img), params).data[0, 0, 4])
+    responses = [ani.anisotropic_operator(ad.constant(img), ani.edge_sensitivity(s)).data[0, 0, 4]
+                 for s in (0.05, 0.1, 0.5)]
     path = os.path.join(args.out, "diffusion_edge_response.csv")
     nd.write_csv(path, ["x", "input", "response_s0.05", "response_s0.1", "response_s0.5"],
                  zip(range(n), img[0, 0, 4], *responses))

@@ -330,10 +330,7 @@ class StudentNet:
         self.head_b = Param(np.zeros(3), f"{prefix}.head.b")
 
     def params(self) -> dict:
-        out = {self.stem_w.name: self.stem_w, self.stem_b.name: self.stem_b,
-               self.head_w.name: self.head_w, self.head_b.name: self.head_b}
-        out.update(self.block.params())
-        return out
+        return ad.params_of(self.stem_w, self.stem_b, self.head_w, self.head_b, self.block)
 
     def forward(self, lq: Tensor, ipr: Tensor, collect: dict = None) -> Tensor:
         lq = ad.constant(lq)
@@ -451,7 +448,7 @@ def phase1_loss_total(row: dict, config: ExperimentConfig) -> float:
 
 # -- phase 2: student training --------------------------------------------------------
 
-def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
+def train_phase2(exp: Experiment, vel_nets: dict):
     """Train the student against frozen velocity predictors.
 
     Each iteration draws a timestep index uniformly from {0..T_MAX}; the
@@ -469,8 +466,7 @@ def train_phase2(exp: Experiment, vel_nets: dict, student: StudentNet = None):
     (data_lq, data_gt), (hold_lq, hold_gt) = exp.data, exp.holdout
     rng = nd.Rng(config.seed)
     n = config.dataset_size
-    if student is None:
-        student = StudentNet(rng.derive("student-init"), config.channels, cond_dim=config.feature_dim)
+    student = StudentNet(rng.derive("student-init"), config.channels, cond_dim=config.feature_dim)
     teacher_side = StudentNet(rng.derive("student-init"), config.channels, prefix="teacher_side",
                               cond_dim=config.feature_dim)
     opt = Adam(student.params(), LR_PHASE2)

@@ -23,15 +23,9 @@ K_BOUNDS = (0.1, 5.0)
 COLLAPSE_EPS = 1e-8  # added to the collapse factor C_k
 
 
-@dataclass
-class HviParams:
-    """Learnable chroma density k, clamped to [0.1, 5.0] after every update."""
-
-    k: Param = None
-
-    def __post_init__(self):
-        if self.k is None:
-            self.k = Param(1.0, "hvi.k", lo=K_BOUNDS[0], hi=K_BOUNDS[1])
+def chroma_density(k: float = 1.0) -> Param:
+    """The learnable chroma density k, clamped to K_BOUNDS after every update."""
+    return Param(k, "hvi.k", lo=K_BOUNDS[0], hi=K_BOUNDS[1])
 
 
 @dataclass
@@ -101,7 +95,7 @@ def rgb_to_hsv_components(rgb: Tensor):
     return h, s, i_max
 
 
-def to_polarized_hvi(rgb: Tensor, params: HviParams) -> HviImage:
+def to_polarized_hvi(rgb: Tensor, k: Param) -> HviImage:
     """Map rgb to (H_polar, V_polar, I_polar).
 
     C_k = k*sin(pi*I_max/2) + COLLAPSE_EPS collapses chroma toward 0 in dark regions;
@@ -109,19 +103,19 @@ def to_polarized_hvi(rgb: Tensor, params: HviParams) -> HviImage:
     Differentiable w.r.t. both the rgb input and k.
     """
     h, s, i_max = rgb_to_hsv_components(rgb)
-    c_k = params.k * ad.sin(i_max * (math.pi / 2.0)) + COLLAPSE_EPS
+    c_k = k * ad.sin(i_max * (math.pi / 2.0)) + COLLAPSE_EPS
     angle = h * (math.pi / 3.0)
     chroma = c_k * s
     return HviImage(chroma * ad.cos(angle), chroma * ad.sin(angle), i_max)
 
 
-def polarized_color_loss(pred: Tensor, gt: Tensor, params: HviParams) -> Tensor:
+def polarized_color_loss(pred: Tensor, gt: Tensor, k: Param) -> Tensor:
     """Mean L1 per plane, summed over the three polarized planes."""
     pred, gt = ad.constant(pred), ad.constant(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"polarized_color_loss: shape mismatch {pred.shape} vs {gt.shape}")
-    hvi_p = to_polarized_hvi(pred, params)
-    hvi_g = to_polarized_hvi(gt, params)
+    hvi_p = to_polarized_hvi(pred, k)
+    hvi_g = to_polarized_hvi(gt, k)
     loss = ad.constant(0.0)
     for a, b in zip(hvi_p.planes(), hvi_g.planes()):
         loss = loss + ad.mean(ad.abs_(a - b))

@@ -14,7 +14,6 @@ import glob
 import math
 import os
 import shutil
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +28,16 @@ HEAD_COUNT = 2  # attention heads, each channels / HEAD_COUNT wide
 
 # -- spatial-channel layer normalization ---------------------------------------
 
-@dataclass
-class SclnParams:
-    gamma: Param  # per-channel scale, length C
-
-    @staticmethod
-    def create(channels: int, name: str = "scln.gamma") -> "SclnParams":
-        return SclnParams(gamma=Param(np.ones(channels), name))
-
-
-def scln(x: Tensor, params: SclnParams) -> Tensor:
+def scln(x: Tensor, gamma: Param) -> Tensor:
     """Normalize each sample by its global mean/variance over (C,H,W), then
-    scale per channel by gamma."""
+    scale per channel by gamma (length C)."""
     x = ad.constant(x)
     if x.ndim != 4:
         raise ValueError(f"scln: expected (B,C,H,W), got {x.shape}")
     c = x.shape[1]
-    if params.gamma.data.shape != (c,):
-        raise ValueError(f"scln: gamma has length {params.gamma.data.shape}, input has C={c}")
-    return ad.layer_norm(x, axis=(1, 2, 3)) * ad.reshape(params.gamma, (1, c, 1, 1))
+    if gamma.data.shape != (c,):
+        raise ValueError(f"scln: gamma has length {gamma.data.shape}, input has C={c}")
+    return ad.layer_norm(x, axis=(1, 2, 3)) * ad.reshape(gamma, (1, c, 1, 1))
 
 
 # -- QK-normalized retinex attention --------------------------------------------
@@ -85,11 +75,8 @@ class AttentionParams:
         self.tau = Param(1.0, f"{prefix}.tau", lo=TAU_BOUNDS[0], hi=TAU_BOUNDS[1])
 
     def params(self) -> dict:
-        out = {}
-        for p in (self.w_cond_r, self.b_cond_r, self.w_cond_i, self.b_cond_i,
-                  self.wq, self.wkv, self.wo, self.tau):
-            out[p.name] = p
-        return out
+        return ad.params_of(self.w_cond_r, self.b_cond_r, self.w_cond_i, self.b_cond_i,
+                            self.wq, self.wkv, self.wo, self.tau)
 
 
 def _to_tokens(x: Tensor):
@@ -157,8 +144,8 @@ class ToyTransformerBlock:
     """
 
     def __init__(self, channels: int, rng: nd.Rng, prefix: str = "block", *, cond_dim: int):
-        self.norm1 = SclnParams.create(channels, f"{prefix}.norm1.gamma")
-        self.norm2 = SclnParams.create(channels, f"{prefix}.norm2.gamma")
+        self.norm1 = Param(np.ones(channels), f"{prefix}.norm1.gamma")  # SCLN scales
+        self.norm2 = Param(np.ones(channels), f"{prefix}.norm2.gamma")
         self.attn = AttentionParams(channels, rng, prefix=f"{prefix}.attn", cond_dim=cond_dim)
         hidden = int(round(FFN_EXPANSION * channels))
         self.w1 = Param(rng.normal((channels, hidden)) / math.sqrt(channels), f"{prefix}.ffn.w1")
@@ -167,11 +154,7 @@ class ToyTransformerBlock:
         self.b2 = Param(np.zeros(channels), f"{prefix}.ffn.b2")
 
     def params(self) -> dict:
-        out = {self.norm1.gamma.name: self.norm1.gamma, self.norm2.gamma.name: self.norm2.gamma}
-        out.update(self.attn.params())
-        for p in (self.w1, self.b1, self.w2, self.b2):
-            out[p.name] = p
-        return out
+        return ad.params_of(self.norm1, self.norm2, self.attn, self.w1, self.b1, self.w2, self.b2)
 
     def forward(self, x: Tensor, ipr: Tensor, collect: dict = None) -> Tensor:
         b, c, h, w = x.shape
@@ -209,11 +192,7 @@ class DecompositionNet:
             self.biases.append(b)
 
     def params(self) -> dict:
-        out = {}
-        for w, b in zip(self.weights, self.biases):
-            out[w.name] = w
-            out[b.name] = b
-        return out
+        return ad.params_of(*(p for wb in zip(self.weights, self.biases) for p in wb))
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
@@ -326,13 +305,8 @@ class VelocityPredictor:
         self.b_out = Param(np.zeros(feature_dim), f"{prefix}.b_out")
 
     def params(self) -> dict:
-        out = {self.w_in.name: self.w_in, self.b_in.name: self.b_in}
-        for w, b in self.blocks:
-            out[w.name] = w
-            out[b.name] = b
-        out[self.w_out.name] = self.w_out
-        out[self.b_out.name] = self.b_out
-        return out
+        return ad.params_of(self.w_in, self.b_in, *(p for wb in self.blocks for p in wb),
+                            self.w_out, self.b_out)
 
     def forward(self, x_t: Tensor, t, c: Tensor) -> Tensor:
         x_t, c = ad.constant(x_t), ad.constant(c)
@@ -361,10 +335,11 @@ TEACHER_WEIGHTS = {"rec": 1.0, "vgg": 1.0, "sty": 1.0, "tex": 0.05, "col": 0.05,
 
 
 def teacher_objective(pred: Tensor, gt: Tensor, r_pred: Tensor, l_pred: Tensor,
-                      input_img: Tensor, extractor, hvi_params, diffusion_params):
+                      input_img: Tensor, extractor, k: Param, s: Param):
     """Combined restoration objective:
     L1 + perceptual + style + 0.05*texture + 0.05*color + 0.2*smoothness.
 
+    k is the color term's chroma density, s the texture term's edge sensitivity.
     Returns (total, components) where components holds the unweighted terms;
     the total is their weighted sum (weights in TEACHER_WEIGHTS).
     """
@@ -377,8 +352,8 @@ def teacher_objective(pred: Tensor, gt: Tensor, r_pred: Tensor, l_pred: Tensor,
         "rec": ad.mean(ad.abs_(pred - gt)),
         "vgg": perceptual_loss(pred, gt, extractor),
         "sty": style_loss(pred, gt, extractor),
-        "tex": aniso_diffusion.texture_loss(input_img, r_pred, diffusion_params),
-        "col": hvi_color.polarized_color_loss(pred, gt, hvi_params),
+        "tex": aniso_diffusion.texture_loss(input_img, r_pred, s),
+        "col": hvi_color.polarized_color_loss(pred, gt, k),
         "lum": aniso_diffusion.illumination_smoothness_loss(l_pred),
     }
     total = ad.constant(0.0)

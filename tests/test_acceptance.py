@@ -14,8 +14,6 @@ from restorect import distill_harness as dh
 from restorect import flexloss as fx
 from restorect import hvi_color as hvi
 from restorect import ndtensor as nd
-from restorect import nn_blocks as nn
-from restorect import rectflow as rf
 
 from test_flexloss import CFG, bruteforce_flex, heavy_tailed_pair
 
@@ -48,20 +46,14 @@ def test_criterion_01_gradient_suite():
 
 
 def test_criterion_02_hvi_continuity():
-    params = hvi.HviParams()  # k = 1
+    k = hvi.chroma_density()  # k = 1
     delta = 1e-3
-
-    def rgb(h):  # S=1, I_max=1
-        c = 1.0
-        x = c * (1.0 - abs(h % 2.0 - 1.0))
-        return [(c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c), (c, 0, x)][int(h) % 6]
-
-    arr = np.array([rgb(6.0 - delta), rgb(delta)]).T.reshape(1, 3, 1, 2)
-    out = hvi.to_polarized_hvi(ad.constant(arr), params)
+    arr = np.array([hvi.hue_rgb(6.0 - delta), hvi.hue_rgb(delta)]).T.reshape(1, 3, 1, 2)
+    out = hvi.to_polarized_hvi(ad.constant(arr), k)
     gap = max(abs(float(p.data[0, 0, 0, 0] - p.data[0, 0, 0, 1])) for p in out.planes())
     assert gap < 1e-2, f"red-boundary discontinuity {gap}"
 
-    black = hvi.to_polarized_hvi(ad.constant(np.zeros((1, 3, 2, 2))), params)
+    black = hvi.to_polarized_hvi(ad.constant(np.zeros((1, 3, 2, 2))), k)
     for plane in black.planes():
         assert np.all(plane.data == 0.0)
     report(2, f"red-boundary gap {gap:.2e} < 1e-2 at delta=1e-3; black maps to (0,0,0) exactly")
@@ -134,34 +126,23 @@ def test_criterion_04_flex_robustness():
               f"(1000 +/- 1%); 4% spikes shift the loss by {change * 100:.2f}% (<10%)")
 
 
+def registry_check(name):
+    """Run the registered check `name`, assert it passed, return its detail."""
+    (entry,) = checks.run_checks(names=[name])["checks"]
+    assert entry["passed"], entry["detail"]
+    return entry["detail"]
+
+
 def test_criterion_05_resolution_weights():
-    cases = {(64, 64): 1.0, (256, 256): 0.5, (65536, 65536): 0.1}
-    for (h, w), expected in cases.items():
-        got = fx.resolution_weight(h, w)
-        assert abs(got - expected) < 1e-12, f"({h},{w}) -> {got}"
-    report(5, "resolution weights (64,64)->1.0, (256,256)->0.5, "
-              "(65536,65536)->0.1 exact to 1e-12")
+    detail = registry_check("inv_resolution_weights")
+    report(5, f"resolution weights (64,64)->1.0, (256,256)->0.5, "
+              f"(65536,65536)->0.1 exact to 1e-12: {detail}")
 
 
 def test_criterion_06_rectified_flow_exactness():
-    rng = nd.Rng(14)
-    z = rng.normal((2, 16))
-    f_t = rng.normal((2, 16))
-
-    class Oracle:
-        t_max = 4
-
-        def forward(self, x, t, c):
-            return ad.constant(f_t - z)
-
-    c = ad.constant(np.zeros((2, 16)))
-    worst = 0.0
-    for steps in (1, 2, 4):
-        out, _ = rf.euler_sample(Oracle(), ad.constant(z), c, steps)
-        worst = max(worst, float(np.abs(out.data - f_t).max()))
-    assert worst < 1e-12, f"endpoint error {worst}"
-    report(6, f"constant-velocity Euler endpoint error {worst:.2e} < 1e-12 "
-              f"for steps in (1, 2, 4)")
+    detail = registry_check("inv_euler_exact_constant_field")
+    report(6, f"constant-velocity Euler endpoint exact to 1e-12 "
+              f"for steps in (1, 2, 4): {detail}")
 
 
 def test_criterion_07_desk_distillation(default_run):
@@ -220,28 +201,7 @@ def test_criterion_09_determinism(tmp_path):
 
 
 def test_criterion_10_teacher_objective_composition():
-    worst = 0.0
-    for seed in range(3):
-        rng = nd.Rng(seed)
-        ext = nn.FeatureExtractor(rng.derive("e"))
-        pred = ad.constant(rng.uniform((1, 3, 8, 8), 0.1, 0.9))
-        gt = ad.constant(rng.uniform((1, 3, 8, 8), 0.1, 0.9))
-        r_pred = ad.constant(rng.uniform((1, 3, 8, 8)))
-        l_pred = ad.constant(rng.uniform((1, 1, 8, 8)))
-        inp = ad.constant(rng.uniform((1, 3, 8, 8)))
-        total, comps = nn.teacher_objective(pred, gt, r_pred, l_pred, inp, ext,
-                                            hvi.HviParams(), aniso_params())
-        weights = (1.0, 1.0, 1.0, 0.05, 0.05, 0.2)
-        names = ("rec", "vgg", "sty", "tex", "col", "lum")
-        assert tuple(nn.TEACHER_WEIGHTS[n] for n in names) == weights
-        manual = sum(w * comps[n].item() for w, n in zip(weights, names))
-        worst = max(worst, abs(total.item() - manual))
-    assert worst < 1e-10, f"composition deviation {worst}"
+    # the weights are pinned by test_nn_blocks::test_teacher_objective_stated_weights
+    detail = registry_check("inv_teacher_objective_composition")
     report(10, f"objective total equals the (1,1,1,0.05,0.05,0.2)-weighted component "
-               f"sum within {worst:.1e} (<1e-10)")
-
-
-def aniso_params():
-    from restorect import aniso_diffusion
-
-    return aniso_diffusion.DiffusionParams()
+               f"sum within 1e-10: {detail}")

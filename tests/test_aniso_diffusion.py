@@ -59,51 +59,51 @@ def test_gradients_tiny_image_errors():
 # -- anisotropic operator -----------------------------------------------------------
 
 def test_operator_constant_zero():
-    out = ani.anisotropic_operator(ad.constant(np.full((1, 2, 5, 5), 0.7)), ani.DiffusionParams())
+    out = ani.anisotropic_operator(ad.constant(np.full((1, 2, 5, 5), 0.7)), ani.edge_sensitivity())
     np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_operator_matches_stencil_oracle():
-    params = ani.DiffusionParams()  # s = 0.1
+    s = ani.edge_sensitivity()  # s = 0.1
     impulse = np.zeros((6, 6))
     impulse[3, 3] = 1.0
     cases = [impulse] + [nd.Rng(seed).normal((6, 6)) * 0.2 for seed in range(4)]
     for img in cases:
-        got = ani.anisotropic_operator(ad.constant(img[None, None]), params).data[0, 0]
+        got = ani.anisotropic_operator(ad.constant(img[None, None]), s).data[0, 0]
         np.testing.assert_allclose(got, oracle_operator(img, 0.1), atol=1e-12)
 
 
 # -- texture loss -------------------------------------------------------------------
 
 def test_texture_loss_identical_and_constant_shift():
-    params = ani.DiffusionParams()
+    s = ani.edge_sensitivity()
     img = ad.constant(nd.Rng(1).uniform((1, 3, 6, 6)))
-    assert ani.texture_loss(img, img, params).item() == 0.0
+    assert ani.texture_loss(img, img, s).item() == 0.0
     shifted = ad.constant(img.data + 0.25)
-    assert ani.texture_loss(img, shifted, params).item() == pytest.approx(0.0, abs=1e-12)
+    assert ani.texture_loss(img, shifted, s).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_texture_loss_matches_two_call_oracle():
-    params = ani.DiffusionParams()
+    s = ani.edge_sensitivity()
     a = ad.constant(nd.Rng(2).uniform((1, 3, 5, 5)))
     b = ad.constant(nd.Rng(3).uniform((1, 3, 5, 5)))
-    expected = np.abs(ani.anisotropic_operator(a, params).data
-                      - ani.anisotropic_operator(b, params).data).mean()
-    assert ani.texture_loss(a, b, params).item() == pytest.approx(expected, rel=1e-12)
+    expected = np.abs(ani.anisotropic_operator(a, s).data
+                      - ani.anisotropic_operator(b, s).data).mean()
+    assert ani.texture_loss(a, b, s).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_texture_loss_shape_mismatch():
     with pytest.raises(ValueError):
         ani.texture_loss(ad.constant(np.zeros((1, 3, 4, 4))),
-                         ad.constant(np.zeros((1, 3, 5, 5))), ani.DiffusionParams())
+                         ad.constant(np.zeros((1, 3, 5, 5))), ani.edge_sensitivity())
 
 
 def test_texture_loss_sensitivity_gets_gradient():
-    params = ani.DiffusionParams()
+    s = ani.edge_sensitivity()
     a = ad.constant(nd.Rng(4).uniform((1, 1, 5, 5)))
     b = ad.constant(nd.Rng(5).uniform((1, 1, 5, 5)))
-    ani.texture_loss(a, b, params).backward()
-    assert abs(params.s.grad.item()) > 0.0
+    ani.texture_loss(a, b, s).backward()
+    assert abs(s.grad.item()) > 0.0
 
 
 # -- illumination smoothness ------------------------------------------------------------
@@ -139,10 +139,10 @@ def test_illumination_edge_cheaper_than_ramp_per_energy():
 
 
 def test_sensitivity_clamp():
-    p = ani.DiffusionParams()
-    p.s.data[...] = 3.0
-    p.s.apply_bounds()
-    assert p.s.data.item() == 1.0
-    p.s.data[...] = 0.0
-    p.s.apply_bounds()
-    assert p.s.data.item() == 0.01
+    s = ani.edge_sensitivity()
+    s.data[...] = 3.0
+    s.apply_bounds()
+    assert s.data.item() == 1.0
+    s.data[...] = 0.0
+    s.apply_bounds()
+    assert s.data.item() == 0.01

@@ -60,6 +60,14 @@ def test_run_checks_rejects_an_unregistered_name():
         checks.run_checks(names=[checks.CHECKS[0][0], "inv_no_such_check"])
 
 
+def test_a_check_returning_a_bare_bool_fails(monkeypatch):
+    """A check returns (passed, detail); a bare True is reported as failed."""
+    monkeypatch.setattr(checks, "CHECKS", [("inv_bare_bool", lambda: True)])
+    report = checks.run_checks()
+    assert report["failed"] == ["inv_bare_bool"]
+    assert report["checks"][0]["detail"].startswith("TypeError")
+
+
 def _named_op(name):
     """The autodiff function an fd_ check is named after (fd_abs -> abs_), or None."""
     for attr in (name[3:], name[3:] + "_"):
@@ -139,7 +147,7 @@ SOLE_HOME_FAULTS = [
      _on_output(lambda out: (out[0] + out[1]["tex"] * 0.05, out[1]))),
     ("inv_aniso_zero_sum", ani, "anisotropic_operator", _on_output(lambda y: y + 1e-6)),
     ("inv_aniso_translation_invariant", ani, "anisotropic_operator",
-     lambda real: lambda x, params: real(x, params) + x * 1e-3),
+     lambda real: lambda x, s: real(x, s) + x * 1e-3),
     ("inv_aniso_laplacian_limit", ani, "anisotropic_operator", _on_output(lambda y: y * 0.9)),
     ("inv_hvi_red_continuity", hvi, "rgb_to_hsv_components",
      _on_output(lambda hsi: (hsi[0] * 0.9, *hsi[1:]))),

@@ -219,7 +219,7 @@ def test_compare_samplers_bad_steps(tmp_path, capsys):
     assert cli.main(["compare-samplers", "--out", str(tmp_path), "--steps", "x"]) == 2
 
 
-def test_seed_precedence_env_and_flag(tmp_path, monkeypatch):
+def test_seed_flag_overrides_config(tmp_path):
     config = small_config_file(tmp_path, seed=7)
 
     class Args:
@@ -228,9 +228,6 @@ def test_seed_precedence_env_and_flag(tmp_path, monkeypatch):
     args = Args()
     args.config = config
     args.seed = None
-    monkeypatch.delenv("RESTORECT_SEED", raising=False)
     assert cli.resolve_config(args).seed == 7
-    monkeypatch.setenv("RESTORECT_SEED", "11")
-    assert cli.resolve_config(args).seed == 11  # env overrides config
     args.seed = 13
-    assert cli.resolve_config(args).seed == 13  # flag wins over env
+    assert cli.resolve_config(args).seed == 13

@@ -444,12 +444,12 @@ def test_probe_metrics_raise_naming_the_metric_on_a_finite_but_huge_net_output()
                    lambda: dh._mse("phase2 feature_mse", np.full(3, 1e200), np.zeros(3)))
 
 
-def test_phase2_holdout_l1_raises_naming_the_metric():
+def test_phase2_holdout_l1_raises_naming_the_metric(monkeypatch):
     exp = dh.Experiment(small_config())
     nets = {"rex": ConstantNet(0.0), "img": ConstantNet(0.0)}
     # every |pred - gt| entry is finite, their sum is not
-    _raises_naming("phase2 holdout_l1",
-                   lambda: dh.train_phase2(exp, nets, student=ConstantStudent(1.5e308)))
+    monkeypatch.setattr(dh, "StudentNet", lambda *args, **kwargs: ConstantStudent(1.5e308))
+    _raises_naming("phase2 holdout_l1", lambda: dh.train_phase2(exp, nets))
 
 
 # -- metrics CSV ------------------------------------------------------------------------------------

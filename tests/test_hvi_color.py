@@ -57,14 +57,14 @@ def test_hsv_rejects_out_of_range():
 # -- polarized transform ------------------------------------------------------------
 
 def test_polarized_pure_red():
-    img = hvi.to_polarized_hvi(rgb_image((1, 0, 0)), hvi.HviParams())
+    img = hvi.to_polarized_hvi(rgb_image((1, 0, 0)), hvi.chroma_density())
     assert img.h_polar.data.item() == pytest.approx(1.0 + 1e-8, abs=1e-15)
     assert img.v_polar.data.item() == 0.0
     assert img.i_polar.data.item() == 1.0
 
 
 def test_polarized_gray_kills_chroma():
-    img = hvi.to_polarized_hvi(rgb_image((0.5, 0.5, 0.5)), hvi.HviParams())
+    img = hvi.to_polarized_hvi(rgb_image((0.5, 0.5, 0.5)), hvi.chroma_density())
     assert img.h_polar.data.item() == 0.0
     assert img.v_polar.data.item() == 0.0
     assert img.i_polar.data.item() == 0.5
@@ -72,13 +72,13 @@ def test_polarized_gray_kills_chroma():
 
 def test_chroma_magnitude_invariant():
     # h^2 + v^2 <= (k+eps)^2 since S <= 1 and sin <= 1
-    params = hvi.HviParams()
+    k = hvi.chroma_density()
     for seed in range(5):
         img = ad.constant(nd.Rng(seed).uniform((1, 3, 5, 5)))
-        out = hvi.to_polarized_hvi(img, params)
+        out = hvi.to_polarized_hvi(img, k)
         mag2 = out.h_polar.data**2 + out.v_polar.data**2
-        k = params.k.data.item()
-        assert mag2.max() <= (k + hvi.COLLAPSE_EPS) ** 2 + 1e-12
+        k_val = k.data.item()
+        assert mag2.max() <= (k_val + hvi.COLLAPSE_EPS) ** 2 + 1e-12
         assert out.i_polar.data.min() >= 0.0 and out.i_polar.data.max() <= 1.0
 
 
@@ -86,33 +86,33 @@ def test_chroma_magnitude_invariant():
 
 def test_color_loss_identical_zero():
     img = ad.constant(nd.Rng(1).uniform((2, 3, 4, 4)))
-    assert hvi.polarized_color_loss(img, img, hvi.HviParams()).item() == 0.0
+    assert hvi.polarized_color_loss(img, img, hvi.chroma_density()).item() == 0.0
 
 
 def test_color_loss_black_vs_red():
-    loss = hvi.polarized_color_loss(rgb_image((0, 0, 0)), rgb_image((1, 0, 0)), hvi.HviParams())
+    loss = hvi.polarized_color_loss(rgb_image((0, 0, 0)), rgb_image((1, 0, 0)), hvi.chroma_density())
     assert loss.item() == pytest.approx(2.0 + 1e-8, abs=1e-12)
 
 
 def test_color_loss_symmetric():
     a = ad.constant(nd.Rng(2).uniform((1, 3, 4, 4)))
     b = ad.constant(nd.Rng(3).uniform((1, 3, 4, 4)))
-    p = hvi.HviParams()
-    assert hvi.polarized_color_loss(a, b, p).item() == pytest.approx(
-        hvi.polarized_color_loss(b, a, p).item(), rel=1e-12)
+    k = hvi.chroma_density()
+    assert hvi.polarized_color_loss(a, b, k).item() == pytest.approx(
+        hvi.polarized_color_loss(b, a, k).item(), rel=1e-12)
 
 
 def test_color_loss_shape_mismatch():
     with pytest.raises(ValueError):
         hvi.polarized_color_loss(ad.constant(np.zeros((1, 3, 2, 2))),
-                                 ad.constant(np.zeros((1, 3, 4, 4))), hvi.HviParams())
+                                 ad.constant(np.zeros((1, 3, 4, 4))), hvi.chroma_density())
 
 
 def test_params_clamp_bounds():
-    p = hvi.HviParams()
-    p.k.data[...] = 9.0
-    p.k.apply_bounds()
-    assert p.k.data.item() == 5.0
-    p.k.data[...] = 0.0
-    p.k.apply_bounds()
-    assert p.k.data.item() == 0.1
+    k = hvi.chroma_density()
+    k.data[...] = 9.0
+    k.apply_bounds()
+    assert k.data.item() == 5.0
+    k.data[...] = 0.0
+    k.apply_bounds()
+    assert k.data.item() == 0.1

@@ -4,7 +4,7 @@ import pytest
 from restorect import autodiff as ad
 from restorect import ndtensor as nd
 from restorect import nn_blocks as nn
-from restorect.distill_harness import Adam, synth_dataset
+from restorect.distill_harness import Adam, StudentNet, synth_dataset
 
 
 # -- SCLN ------------------------------------------------------------------------
@@ -13,33 +13,31 @@ def test_scln_standardized_input_passthrough():
     rng = nd.Rng(0)
     x = rng.normal((1, 4, 5, 5))
     x = (x - x.mean()) / x.std()
-    params = nn.SclnParams.create(4)
-    y = nn.scln(ad.constant(x), params)
+    y = nn.scln(ad.constant(x), ad.Param(np.ones(4), "gamma"))
     # unit-variance input passes through up to the eps inside the root:
     # |y - x| <= |x| * eps / 2 with eps = 1e-5
     np.testing.assert_allclose(y.data, x, atol=np.abs(x).max() * 1e-5)
 
 
 def test_scln_constant_input_zero():
-    params = nn.SclnParams.create(3)
-    y = nn.scln(ad.constant(np.full((2, 3, 4, 4), 1.7)), params)
+    y = nn.scln(ad.constant(np.full((2, 3, 4, 4), 1.7)), ad.Param(np.ones(3), "gamma"))
     np.testing.assert_array_equal(y.data, 0.0)
 
 
 def test_scln_gamma_mismatch():
     with pytest.raises(ValueError):
-        nn.scln(ad.constant(np.zeros((1, 4, 2, 2))), nn.SclnParams.create(5))
+        nn.scln(ad.constant(np.zeros((1, 4, 2, 2))), ad.Param(np.ones(5), "gamma"))
 
 
 def test_scln_is_bit_equal_to_the_explicit_composite():
     """scln runs on ad.layer_norm over (C,H,W); pins it, forward and
     backward, to the mean/variance composite it replaced."""
-    def composite(x, params):
+    def composite(x, gamma):
         mu = ad.mean(x, axes=(1, 2, 3), keepdims=True)
         d = x - mu
         var = ad.mean(d * d, axes=(1, 2, 3), keepdims=True)
         y = d / ad.sqrt(var + ad.LAYER_NORM_EPS)
-        return y * ad.reshape(params.gamma, (1, x.shape[1], 1, 1))
+        return y * ad.reshape(gamma, (1, x.shape[1], 1, 1))
 
     for seed in range(3):
         rng = nd.Rng(400 + seed)
@@ -47,11 +45,10 @@ def test_scln_is_bit_equal_to_the_explicit_composite():
         results = []
         for fn in (nn.scln, composite):
             x = ad.Param(rng.derive("x").normal((2, 4, 3, 5)) * 3.0 + 1.0, "x")
-            params = nn.SclnParams.create(4)
-            params.gamma.data[...] = rng.derive("g").uniform((4,), 0.5, 1.5)
-            y = fn(x, params)
+            gamma = ad.Param(rng.derive("g").uniform((4,), 0.5, 1.5), "gamma")
+            y = fn(x, gamma)
             ad.sum_(y * probe).backward()
-            results.append((y.data, x.grad, params.gamma.grad))
+            results.append((y.data, x.grad, gamma.grad))
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
 
@@ -228,14 +225,14 @@ def _objective_inputs(seed):
 
     rng = nd.Rng(seed)
     ext = nn.FeatureExtractor(rng.derive("e"))
-    hp = hvi_color.HviParams()
-    dp = aniso_diffusion.DiffusionParams()
+    k = hvi_color.chroma_density()
+    s = aniso_diffusion.edge_sensitivity()
     pred = ad.constant(rng.uniform((1, 3, 8, 8), 0.1, 0.9))
     gt = ad.constant(rng.uniform((1, 3, 8, 8), 0.1, 0.9))
     r_pred = ad.constant(rng.uniform((1, 3, 8, 8)))
     l_pred = ad.constant(rng.uniform((1, 1, 8, 8)))
     inp = ad.constant(rng.uniform((1, 3, 8, 8)))
-    return pred, gt, r_pred, l_pred, inp, ext, hp, dp
+    return pred, gt, r_pred, l_pred, inp, ext, k, s
 
 
 def test_teacher_objective_stated_weights():
@@ -251,8 +248,8 @@ def test_teacher_objective_trivial_zero():
     img = ad.constant(rng.uniform((1, 3, 8, 8)))
     flat_l = ad.constant(np.full((1, 1, 8, 8), 0.5))
     total, comps = nn.teacher_objective(img, img, img, flat_l, img,
-                                        ext, hvi_color.HviParams(),
-                                        aniso_diffusion.DiffusionParams())
+                                        ext, hvi_color.chroma_density(),
+                                        aniso_diffusion.edge_sensitivity())
     # pred == gt kills rec/vgg/sty/col; r_pred == input kills tex; flat L kills lum
     assert total.item() == 0.0
     assert all(c.item() == 0.0 for c in comps.values())
@@ -267,6 +264,50 @@ def test_teacher_objective_component_scaling():
     total2, comps2 = nn.teacher_objective(*args)
     delta_tex = comps2["tex"].item() - comps1["tex"].item()
     assert total2.item() - total1.item() == pytest.approx(0.05 * delta_tex, abs=1e-12)
+
+
+# -- params() -------------------------------------------------------------------------------------
+
+def _held_params(obj) -> list:
+    """Every Param reachable from `obj` through attributes, lists and tuples."""
+    if isinstance(obj, ad.Param):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [p for item in obj for p in _held_params(item)]
+    if type(obj).__module__.startswith("restorect."):
+        return [p for value in vars(obj).values() for p in _held_params(value)]
+    return []
+
+
+NETS = {
+    "StudentNet": lambda rng: StudentNet(rng, 8, cond_dim=8),
+    "VelocityPredictor": lambda rng: nn.VelocityPredictor(rng, feature_dim=8, t_max=4),
+    "ToyTransformerBlock": lambda rng: nn.ToyTransformerBlock(8, rng, cond_dim=8),
+    "AttentionParams": lambda rng: nn.AttentionParams(8, rng, cond_dim=8),
+    "DecompositionNet": lambda rng: nn.DecompositionNet(rng),
+}
+
+
+@pytest.mark.parametrize("name", NETS)
+def test_params_lists_every_param_the_object_holds(name):
+    """A Param left out of params() is never trained, saved or fd-checked."""
+    net = NETS[name](nd.Rng(0))
+    held = _held_params(net)
+    listed = net.params()
+    assert len({id(p) for p in held}) == len(held) == len(listed)
+    assert {id(p) for p in held} == {id(p) for p in listed.values()}
+    assert all(listed[p.name] is p for p in held)
+
+
+def test_params_of_keeps_order_and_takes_params_of_other_parts():
+    a, b = ad.Param(1.0, "a"), ad.Param(2.0, "b")
+
+    class Part:
+        def params(self):
+            return {"c": ad.Param(3.0, "c")}
+
+    assert list(ad.params_of(b, Part(), a)) == ["b", "c", "a"]
+    assert ad.params_of(a, b)["a"] is a
 
 
 # -- checkpoints ------------------------------------------------------------------------------------

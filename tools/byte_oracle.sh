@@ -59,7 +59,6 @@ repo=$(cd "$(dirname "$0")/.." && pwd)
 
 export OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 export PYTHONPATH="$repo/src${PYTHONPATH:+:$PYTHONPATH}"
-unset RESTORECT_SEED
 
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
