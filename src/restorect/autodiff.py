@@ -184,13 +184,14 @@ class Param(Tensor):
 
 def params_of(*parts) -> dict:
     """The name -> Param dict of `parts`, in order: a Param adds itself under
-    its name, any other part adds its own params()."""
+    its name, any other part adds its own params(). A name met twice raises
+    ValueError, so no part's Params are silently left out."""
     out = {}
     for part in parts:
-        if isinstance(part, Param):
-            out[part.name] = part
-        else:
-            out.update(part.params())
+        for name, p in ({part.name: part} if isinstance(part, Param) else part.params()).items():
+            if name in out:
+                raise ValueError(f"params_of: two params are named {name!r}")
+            out[name] = p
     return out
 
 

@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return handlers[args.command](args)
     except (dh.TrainingDiverged, FloatingPointError, np.linalg.LinAlgError,
-            ValueError, KeyError, FileNotFoundError) as exc:
+            ValueError, KeyError, OSError) as exc:
         print(f"restorect {args.command}: {exc}", file=sys.stderr)
         return 1
 

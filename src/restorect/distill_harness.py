@@ -12,6 +12,7 @@ separate timing files and stdout summaries.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -43,6 +44,10 @@ LAMBDA_TRAJ = 1.0
 LAMBDA_VEL = 0.05
 LR_PHASE2 = 1e-4
 T_MAX = 4
+
+# The two teacher feature streams, reflectance and image, in the order every
+# stage draws, trains, logs and saves them; each has its own velocity predictor.
+STREAMS = ("rex", "img")
 
 
 def _is_int(value) -> bool:
@@ -235,10 +240,10 @@ def synth_dataset(rng: nd.Rng, n: int, image_size: int) -> tuple:
 TEACHER_BLOCK_ROWS = 64
 
 class SyntheticTeacher:
-    """Frozen seeded encoder from (lq, gt) image pairs to a pair of 256-dim
-    feature vectors (reflectance-path and image-path). Pixel-unshuffle,
-    two 3x3 convs, spatial mean pooling, then two linear heads whose scales
-    are calibrated at init so the features have roughly unit spread.
+    """Frozen seeded encoder from (lq, gt) image pairs to one
+    `feature_dim`-wide feature vector per stream in STREAMS. Pixel-unshuffle,
+    two 3x3 convs, spatial mean pooling, then one linear head per stream whose
+    scale is calibrated at init so the features have roughly unit spread.
     Deterministic: the same images always map to the same features.
     """
 
@@ -246,11 +251,10 @@ class SyntheticTeacher:
         c_in = 6 * 4  # lq+gt stacked, then unshuffled by 2
         self.w1 = rng.normal((32, c_in, 3, 3)) * math.sqrt(2.0 / (c_in * 9))
         self.w2 = rng.normal((32, 32, 3, 3)) * math.sqrt(2.0 / (32 * 9))
-        self.h_rex = rng.normal((32, feature_dim))
-        self.h_img = rng.normal((32, feature_dim))
+        self.heads = {key: rng.normal((32, feature_dim)) for key in STREAMS}
         # calibrate head scales on a probe batch so feature std is ~1
         pooled = self._pool(*synth_dataset(rng.derive("teacher-probe"), 16, image_size))
-        for h in (self.h_rex, self.h_img):
+        for h in self.heads.values():
             feats = pooled @ h
             h /= max(feats.std(), 1e-6)
 
@@ -267,31 +271,24 @@ class SyntheticTeacher:
             pooled.append(ad.mean(h, axes=(2, 3)).data)
         return np.concatenate(pooled)
 
-    def encode_pair(self, lq: np.ndarray, gt: np.ndarray):
-        """Teacher feature targets for (lq, gt) batches: (ipr_rex, ipr_img)."""
+    def encode_pair(self, lq: np.ndarray, gt: np.ndarray) -> dict:
+        """Teacher features of (lq, gt) batches, keyed by stream. With gt = lq
+        they are the conditioning, computable from the degraded input alone."""
         pooled = self._pool(lq, gt)
-        return pooled @ self.h_rex, pooled @ self.h_img
-
-    def conditioning(self, lq: np.ndarray):
-        """Conditioning features computable from the degraded input alone
-        (the gt slot is filled with the lq image)."""
-        return self.encode_pair(lq, lq)
+        return {key: pooled @ h for key, h in self.heads.items()}
 
 
 @dataclass
 class FeatureSet:
-    """Precomputed per-item teacher features and conditioning vectors."""
+    """Precomputed per-item conditioning vectors `c` and teacher features
+    `f`, each keyed by stream."""
 
-    c_rex: np.ndarray
-    c_img: np.ndarray
-    f_rex: np.ndarray
-    f_img: np.ndarray
+    c: dict
+    f: dict
 
     @staticmethod
     def build(teacher: SyntheticTeacher, lq: np.ndarray, gt: np.ndarray) -> "FeatureSet":
-        f_rex, f_img = teacher.encode_pair(lq, gt)
-        c_rex, c_img = teacher.conditioning(lq)
-        return FeatureSet(c_rex, c_img, f_rex, f_img)
+        return FeatureSet(c=teacher.encode_pair(lq, lq), f=teacher.encode_pair(lq, gt))
 
 
 class Experiment:
@@ -322,12 +319,12 @@ class StudentNet:
     conditioned transformer block, 3x3 head conv back to rgb with a global
     residual onto the degraded input."""
 
-    def __init__(self, rng: nd.Rng, channels: int, cond_dim: int, prefix: str = "student"):
-        self.stem_w = Param(rng.normal((channels, 3, 3, 3)) * math.sqrt(2.0 / 27), f"{prefix}.stem.w")
-        self.stem_b = Param(np.zeros(channels), f"{prefix}.stem.b")
-        self.block = nn.ToyTransformerBlock(channels, rng, prefix=f"{prefix}.block", cond_dim=cond_dim)
-        self.head_w = Param(rng.normal((3, channels, 3, 3)) * 0.05, f"{prefix}.head.w")
-        self.head_b = Param(np.zeros(3), f"{prefix}.head.b")
+    def __init__(self, rng: nd.Rng, channels: int, cond_dim: int):
+        self.stem_w = Param(rng.normal((channels, 3, 3, 3)) * math.sqrt(2.0 / 27), "student.stem.w")
+        self.stem_b = Param(np.zeros(channels), "student.stem.b")
+        self.block = nn.ToyTransformerBlock(channels, rng, prefix="student.block", cond_dim=cond_dim)
+        self.head_w = Param(rng.normal((3, channels, 3, 3)) * 0.05, "student.head.w")
+        self.head_b = Param(np.zeros(3), "student.head.b")
 
     def params(self) -> dict:
         return ad.params_of(self.stem_w, self.stem_b, self.head_w, self.head_b, self.block)
@@ -369,16 +366,24 @@ def _frechet_probe(nets: dict, feats: FeatureSet, probe_z: np.ndarray) -> float:
     """Frechet distance between Euler-sampled and teacher image features on a
     fixed probe set (fixed z), using the full T_MAX-step sampler."""
     n = probe_z.shape[0]
-    x = _sampled(nets["img"], probe_z, feats.c_img[:n], T_MAX)[-1]
-    ref = feats.f_img[:n]
+    x = _sampled(nets["img"], probe_z, feats.c["img"][:n], T_MAX)[-1]
+    ref = feats.f["img"][:n]
     return _frechet("phase1 frechet", x, ref.mean(axis=0), np.cov(ref, rowvar=False))
 
 
-def _feature_mse(nets, feats: FeatureSet, idx, z_rex, z_img) -> float:
-    rex, img = (_mse("phase1 feature_mse", _sampled(nets[key], z, c[idx], T_MAX)[-1], f[idx])
-                for key, z, c, f in (("rex", z_rex, feats.c_rex, feats.f_rex),
-                                     ("img", z_img, feats.c_img, feats.f_img)))
-    return nd.require_finite((rex + img) / 2.0, "phase1 feature_mse")
+def _feature_mse(nets, feats: FeatureSet, idx, stream_z: dict) -> float:
+    """Mean over the streams of the sampled endpoint's mse to the teacher."""
+    mse = sum(_mse("phase1 feature_mse",
+                   _sampled(nets[key], stream_z[key], feats.c[key][idx], T_MAX)[-1],
+                   feats.f[key][idx])
+              for key in STREAMS)
+    return nd.require_finite(mse / len(STREAMS), "phase1 feature_mse")
+
+
+def _velocity_net(config: ExperimentConfig, key: str, rng: nd.Rng) -> nn.VelocityPredictor:
+    """The predictor of one stream; its Param names are its checkpoint's keys."""
+    return nn.VelocityPredictor(rng, feature_dim=config.feature_dim, t_max=T_MAX,
+                                prefix=f"vel_{key}")
 
 
 def train_phase1(exp: Experiment):
@@ -388,16 +393,13 @@ def train_phase1(exp: Experiment):
         L_vel(rex) + L_vel(img)
         + LAMBDA_KD   * (mse-to-teacher of the T_MAX-step sampled endpoint, both streams)
         + LAMBDA_TRAJ * (trajectory consistency, both streams),
-    with one Adam optimizer per predictor.
+    with one Adam optimizer over both predictors.
     """
     config, feats = exp.config, exp.feats
     rng = nd.Rng(config.seed)
     n = config.dataset_size
-    nets = {key: nn.VelocityPredictor(rng.derive(f"vel-{key}-init"),
-                                      feature_dim=config.feature_dim, t_max=T_MAX,
-                                      prefix=f"vel_{key}")
-            for key in ("rex", "img")}
-    opts = {key: Adam(net.params(), config.lr_phase1) for key, net in nets.items()}
+    nets = {key: _velocity_net(config, key, rng.derive(f"vel-{key}-init")) for key in STREAMS}
+    opt = Adam(ad.params_of(*nets.values()), config.lr_phase1)
     loop = rng.derive("phase1-loop")
     probe_z = rng.derive("phase1-probe").normal((min(128, n), config.feature_dim))
     rows = []
@@ -407,13 +409,11 @@ def train_phase1(exp: Experiment):
         row = {"iteration": it, "kd": 0.0, "traj": 0.0}
         total = ad.constant(0.0)
         stream_z = {}
-        for key, c_all, f_all in (("rex", feats.c_rex, feats.f_rex),
-                                  ("img", feats.c_img, feats.f_img)):
-            z = loop.normal((config.batch_size, config.feature_dim))
-            stream_z[key] = z
+        for key in STREAMS:
+            stream_z[key] = z = loop.normal((config.batch_size, config.feature_dim))
             zc = ad.constant(z)
-            fc = ad.constant(f_all[idx])
-            cc = ad.constant(c_all[idx])
+            fc = ad.constant(feats.f[key][idx])
+            cc = ad.constant(feats.c[key][idx])
             l_vel = rf.velocity_matching_loss(nets[key], (zc, fc, cc), loop)
             x_fin, traj = rf.euler_sample(nets[key], zc, cc, T_MAX)
             d = x_fin - fc
@@ -425,14 +425,12 @@ def train_phase1(exp: Experiment):
             total = total + l_vel + LAMBDA_KD * l_kd + LAMBDA_TRAJ * l_traj
         row["total"] = total.item()
 
-        for opt in opts.values():
-            opt.zero_grad()
+        opt.zero_grad()
         total.backward()
-        for opt in opts.values():
-            opt.step()
+        opt.step()
 
         if it % config.log_interval == 0 or it == config.phase1_iters - 1:
-            row["feature_mse"] = _feature_mse(nets, feats, idx, stream_z["rex"], stream_z["img"])
+            row["feature_mse"] = _feature_mse(nets, feats, idx, stream_z)
             row["frechet"] = _frechet_probe(nets, feats, probe_z)
             row["steps"] = T_MAX
             rows.append(row)
@@ -441,9 +439,13 @@ def train_phase1(exp: Experiment):
     return nets, rows
 
 
+def _vel_sum(row: dict) -> float:
+    return sum(row[f"vel_{key}"] for key in STREAMS)
+
+
 def phase1_loss_total(row: dict, config: ExperimentConfig) -> float:
     """Recombine a logged phase-1 row's loss terms into its total (bookkeeping check)."""
-    return row["vel_rex"] + row["vel_img"] + LAMBDA_KD * row["kd"] + LAMBDA_TRAJ * row["traj"]
+    return _vel_sum(row) + LAMBDA_KD * row["kd"] + LAMBDA_TRAJ * row["traj"]
 
 
 # -- phase 2: student training --------------------------------------------------------
@@ -459,16 +461,14 @@ def train_phase2(exp: Experiment, vel_nets: dict):
     and enter the total as constants: the predictors stay frozen, and no
     graph is built through them.
     """
-    for key in ("rex", "img"):
-        if key not in vel_nets or not getattr(vel_nets[key], "trained", False):
-            raise ValueError("train_phase2: velocity predictors must be trained (phase 1) first")
+    if not all(getattr(vel_nets.get(key), "trained", False) for key in STREAMS):
+        raise ValueError("train_phase2: velocity predictors must be trained (phase 1) first")
     config, feats = exp.config, exp.feats
     (data_lq, data_gt), (hold_lq, hold_gt) = exp.data, exp.holdout
     rng = nd.Rng(config.seed)
     n = config.dataset_size
     student = StudentNet(rng.derive("student-init"), config.channels, cond_dim=config.feature_dim)
-    teacher_side = StudentNet(rng.derive("student-init"), config.channels, prefix="teacher_side",
-                              cond_dim=config.feature_dim)
+    teacher_side = copy.deepcopy(student)  # the frozen initial student
     opt = Adam(student.params(), LR_PHASE2)
     loop = rng.derive("phase2-loop")
     rows = []
@@ -476,7 +476,8 @@ def train_phase2(exp: Experiment, vel_nets: dict):
 
     # the predictors are frozen, so the holdout conditioning is fixed
     hold_z = rng.derive("phase2-holdout").normal((config.holdout_size, config.feature_dim))
-    hold_ipr = _sampled(vel_nets["rex"], hold_z, exp.teacher.conditioning(hold_lq)[0], T_MAX)[-1]
+    hold_c = exp.teacher.encode_pair(hold_lq, hold_lq)["rex"]
+    hold_ipr = _sampled(vel_nets["rex"], hold_z, hold_c, T_MAX)[-1]
 
     def holdout_metric():
         with ad.no_grad():
@@ -492,31 +493,30 @@ def train_phase2(exp: Experiment, vel_nets: dict):
         z = loop.normal((config.batch_size, config.feature_dim))
         # the trajectory state at time t_idx; z itself at t_idx = 0
         ipr_state = z if t_idx == 0 else \
-            _sampled(vel_nets["rex"], z, feats.c_rex[idx], T_MAX)[t_idx - 1]
+            _sampled(vel_nets["rex"], z, feats.c["rex"][idx], T_MAX)[t_idx - 1]
 
         acts = {}
-        pred = student.forward(ad.constant(lq), ad.constant(ipr_state), collect=acts)
+        pred = student.forward(lq, ipr_state, collect=acts)
         l_rec = ad.mean(ad.abs_(pred - ad.constant(gt)))
 
         if fx.gate_open(t_idx, T_MAX):
             gate_hits += 1
             t_acts = {}
             with ad.no_grad():
-                teacher_side.forward(ad.constant(lq), ad.constant(feats.f_rex[idx]), collect=t_acts)
+                teacher_side.forward(lq, feats.f["rex"][idx], collect=t_acts)
             l_flex = fx.flex_loss(t_acts, acts, t_idx, T_MAX)
         else:
             l_flex = ad.constant(0.0)
 
         l_vel = {}
-        for key, c_all, f_all in (("rex", feats.c_rex, feats.f_rex),
-                                  ("img", feats.c_img, feats.f_img)):
+        for key in STREAMS:
             zv = ad.constant(loop.normal((config.batch_size, config.feature_dim)))
             with ad.no_grad():
                 l_vel[key] = rf.velocity_matching_loss(
-                    vel_nets[key], (zv, ad.constant(f_all[idx]), ad.constant(c_all[idx])), loop)
+                    vel_nets[key], (zv, ad.constant(feats.f[key][idx]),
+                                    ad.constant(feats.c[key][idx])), loop)
 
-        total = l_rec + config.lambda_flex * l_flex \
-            + LAMBDA_VEL * (l_vel["rex"] + l_vel["img"])
+        total = l_rec + config.lambda_flex * l_flex + LAMBDA_VEL * sum(l_vel.values())
 
         opt.zero_grad()
         total.backward()
@@ -525,10 +525,10 @@ def train_phase2(exp: Experiment, vel_nets: dict):
         if it % config.log_interval == 0 or it == config.phase2_iters - 1:
             rows.append({
                 "iteration": it, "total": total.item(), "rec": l_rec.item(),
-                "flex": l_flex.item(), "vel_rex": l_vel["rex"].item(),
-                "vel_img": l_vel["img"].item(), "holdout_l1": holdout_metric(),
+                "flex": l_flex.item(), **{f"vel_{key}": l_vel[key].item() for key in STREAMS},
+                "holdout_l1": holdout_metric(),
                 "gate_frac": gate_hits / (it + 1),
-                "feature_mse": _mse("phase2 feature_mse", ipr_state, feats.f_rex[idx]),
+                "feature_mse": _mse("phase2 feature_mse", ipr_state, feats.f["rex"][idx]),
                 "frechet": float("nan"), "steps": T_MAX})
 
     summary = {
@@ -541,8 +541,7 @@ def train_phase2(exp: Experiment, vel_nets: dict):
 
 
 def phase2_loss_total(row: dict, config: ExperimentConfig) -> float:
-    return (row["rec"] + config.lambda_flex * row["flex"]
-            + LAMBDA_VEL * (row["vel_rex"] + row["vel_img"]))
+    return row["rec"] + config.lambda_flex * row["flex"] + LAMBDA_VEL * _vel_sum(row)
 
 
 # -- DDIM baseline training ------------------------------------------------------------
@@ -564,8 +563,8 @@ def train_ddim_baseline(exp: Experiment):
 
     for it in range(config.ddim_iters):
         idx = loop.integers(0, n, config.batch_size)
-        f = feats.f_img[idx]
-        c = feats.c_img[idx]
+        f = feats.f["img"][idx]
+        c = feats.c["img"][idx]
         t = loop.integers(0, T, (config.batch_size,))
         eps = loop.normal((config.batch_size, config.feature_dim))
         ab = rf.DDIM_ALPHA_BARS[t].reshape(-1, 1)
@@ -606,21 +605,21 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
     evals = FeatureSet.build(exp.teacher, *synth_dataset(rng.derive("eval-data"),
                                                          config.compare_count, config.image_size))
     z = rng.derive("eval-z").normal((config.compare_count, config.feature_dim))
-    mu_ref, cov_ref = evals.f_img.mean(axis=0), np.cov(evals.f_img, rowvar=False)
+    mu_ref, cov_ref = evals.f["img"].mean(axis=0), np.cov(evals.f["img"], rowvar=False)
 
     rows = []
     for steps in config.sampler_steps:
         for name in ("rf", "ddim"):
             t0 = time.perf_counter()
             if name == "rf":
-                x = _sampled(rf_net, z, evals.c_img, steps)[-1]
+                x = _sampled(rf_net, z, evals.c["img"], steps)[-1]
             else:
                 with ad.no_grad():
-                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c_img, steps).data
+                    x = rf.ddim_baseline_sample(ddim_net, z, evals.c["img"], steps).data
             wall_ms = (time.perf_counter() - t0) * 1000.0
             label = f"compare-samplers {name} steps={steps}"
             fd = _frechet(f"{label} frechet", x, mu_ref, cov_ref)
-            mse = _mse(f"{label} mse", x, evals.f_img)
+            mse = _mse(f"{label} mse", x, evals.f["img"])
             rows.append(SamplerRow(name, steps, fd, mse, wall_ms))
 
     cols = ["sampler", "steps", "frechet", "mse"]
@@ -637,19 +636,16 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
 def save_phase1(outdir, nets: dict, rows: list) -> None:
     os.makedirs(outdir, exist_ok=True)
     write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), rows, PHASE1_COLUMNS)
-    for key in ("rex", "img"):
+    for key in STREAMS:
         nn.save_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}"), nets[key].params())
 
 
 def load_phase1(config: ExperimentConfig, outdir) -> dict:
     """The velocity predictors `save_phase1` wrote under outdir, marked trained."""
-    nets = {}
-    for key in ("rex", "img"):
-        net = nn.VelocityPredictor(nd.Rng(0), feature_dim=config.feature_dim, t_max=T_MAX,
-                                   prefix=f"vel_{key}")
+    nets = {key: _velocity_net(config, key, nd.Rng(0)) for key in STREAMS}
+    for key, net in nets.items():
         nn.restore_params(net.params(), nn.load_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}")))
         net.trained = True
-        nets[key] = net
     return nets
 
 
@@ -669,8 +665,8 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
     student, p2_rows, p2_summary = train_phase2(exp, nets)
 
     summary = {
-        "phase1_initial_vel": p1_rows[0]["vel_rex"] + p1_rows[0]["vel_img"],
-        "phase1_final_vel": p1_rows[-1]["vel_rex"] + p1_rows[-1]["vel_img"],
+        "phase1_initial_vel": _vel_sum(p1_rows[0]),
+        "phase1_final_vel": _vel_sum(p1_rows[-1]),
         **p2_summary,
     }
     if outdir:

@@ -42,7 +42,7 @@ def hue_rgb(h: float) -> tuple:
     """The rgb color of hue h (any real, period 6) at S = I_max = 1."""
     x = 1.0 - abs(h % 2.0 - 1.0)
     return [(1.0, x, 0.0), (x, 1.0, 0.0), (0.0, 1.0, x), (0.0, x, 1.0), (x, 0.0, 1.0),
-            (1.0, 0.0, x)][int(h) % 6]
+            (1.0, 0.0, x)][math.floor(h) % 6]
 
 
 def _validate_rgb(rgb: Tensor, name: str) -> None:

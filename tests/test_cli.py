@@ -61,6 +61,14 @@ def test_demo_hvi_writes_sweep(tmp_path):
     assert len(lines) > 100
 
 
+def test_demo_hvi_onto_an_existing_file_exits_1_with_one_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["demo-hvi", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("restorect demo-hvi: ") and err.count("\n") == 1, err
+
+
 def test_demo_diffusion_writes_response(tmp_path):
     assert cli.main(["demo-diffusion", "--out", str(tmp_path)]) == 0
     header = (tmp_path / "diffusion_edge_response.csv").read_text().splitlines()[0]

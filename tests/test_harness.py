@@ -205,14 +205,14 @@ def test_teacher_deterministic_and_shapes():
     rng = nd.Rng(6)
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=8, feature_dim=64)
     lq, gt = dh.synth_dataset(rng.derive("d"), 4, 8)
-    f_rex, f_img = teacher.encode_pair(lq, gt)
-    assert f_rex.shape == (4, 64) and f_img.shape == (4, 64)
-    f_rex2, f_img2 = teacher.encode_pair(lq, gt)
-    np.testing.assert_array_equal(f_rex, f_rex2)
-    np.testing.assert_array_equal(f_img, f_img2)
-    c_rex, c_img = teacher.conditioning(lq)
-    assert c_rex.shape == (4, 64)
-    assert not np.array_equal(c_rex, f_rex)  # gt carries extra information
+    f = teacher.encode_pair(lq, gt)
+    assert tuple(f) == dh.STREAMS
+    assert all(f[key].shape == (4, 64) for key in dh.STREAMS)
+    again = teacher.encode_pair(lq, gt)
+    for key in dh.STREAMS:
+        np.testing.assert_array_equal(f[key], again[key])
+    c = teacher.encode_pair(lq, lq)
+    assert not np.array_equal(c["rex"], f["rex"])  # gt carries extra information
 
 
 def reference_pool(teacher, lq, gt):
@@ -235,10 +235,10 @@ def test_teacher_features_are_bit_equal_to_the_numpy_forward(seed):
     teacher = dh.SyntheticTeacher(rng.derive("t"), image_size=16, feature_dim=32)
     for n in (6, 65, 150):
         lq, gt = dh.synth_dataset(rng.derive(f"d{n}"), n, 16)
-        for got, pooled in ((teacher.encode_pair(lq, gt), reference_pool(teacher, lq, gt)),
-                            (teacher.conditioning(lq), reference_pool(teacher, lq, lq))):
-            assert got[0].tobytes() == (pooled @ teacher.h_rex).tobytes()
-            assert got[1].tobytes() == (pooled @ teacher.h_img).tobytes()
+        for target in (gt, lq):
+            got, pooled = teacher.encode_pair(lq, target), reference_pool(teacher, lq, target)
+            for key in dh.STREAMS:
+                assert got[key].tobytes() == (pooled @ teacher.heads[key]).tobytes()
 
 
 def test_teacher_encoding_of_512_pairs_peaks_below_32_mb():
@@ -264,6 +264,20 @@ def test_phase1_components_sum_to_total():
     for row in rows:
         recon = dh.phase1_loss_total(row, cfg)
         assert abs(recon - row["total"]) < 1e-10
+
+
+def test_phase1_steps_every_param_of_both_predictors():
+    # one optimizer over both nets: a param it left out would keep its init
+    config = small_config(phase1_iters=2)
+    nets, _ = dh.train_phase1(dh.Experiment(config))
+    rng = nd.Rng(config.seed)
+    for key in dh.STREAMS:
+        init = nn.VelocityPredictor(rng.derive(f"vel-{key}-init"), feature_dim=config.feature_dim,
+                                    t_max=dh.T_MAX, prefix=f"vel_{key}").params()
+        trained = nets[key].params()
+        assert trained.keys() == init.keys()
+        unmoved = [name for name, p in init.items() if np.array_equal(p.data, trained[name].data)]
+        assert not unmoved, unmoved
 
 
 # -- phase 2 --------------------------------------------------------------------------------
@@ -326,13 +340,44 @@ def seed7_distill(tmp_path_factory):
     return out, dh.distill(small_config(), outdir=out)
 
 
-def test_distill_writes_outputs_and_freeze_holds(seed7_distill):
-    out, summary = seed7_distill
+def _param_bytes(net) -> dict:
+    return {name: p.data.tobytes() for name, p in net.params().items()}
+
+
+def test_distill_writes_outputs_and_freeze_holds(tmp_path, monkeypatch):
+    """Phase 2 leaves both velocity predictors bit-unchanged, and every
+    teacher-side forward sees the initial student's params, also after the
+    student has stepped."""
+    config = small_config(phase1_iters=2, phase2_iters=12, log_interval=5)
+    initial = _param_bytes(dh.StudentNet(nd.Rng(config.seed).derive("student-init"),
+                                         config.channels, cond_dim=config.feature_dim))
+    at_phase2, teacher_side_seen = {}, []
+    train_phase2, forward = dh.train_phase2, dh.StudentNet.forward
+
+    def phase2_spy(exp, vel_nets):
+        at_phase2.update({key: _param_bytes(vel_nets[key]) for key in dh.STREAMS})
+        return train_phase2(exp, vel_nets)
+
+    def forward_spy(self, lq, ipr, collect=None):
+        if collect is not None and not ad._grad_enabled:  # the teacher side only
+            teacher_side_seen.append(_param_bytes(self))
+        return forward(self, lq, ipr, collect=collect)
+
+    monkeypatch.setattr(dh, "train_phase2", phase2_spy)
+    monkeypatch.setattr(dh.StudentNet, "forward", forward_spy)
+    out = tmp_path / "run"
+    summary = dh.distill(config, outdir=out)
+
     for fname in ("phase1_metrics.csv", "phase2_metrics.csv", "summary.json"):
         assert (out / fname).exists()
     for ck in ("ckpt_vel_rex", "ckpt_vel_img", "ckpt_student"):
         assert (out / ck / "manifest.txt").exists()
     assert np.isfinite(summary["final_holdout_l1"])
+    assert at_phase2 == {key: _param_bytes(summary["nets"][key]) for key in dh.STREAMS}
+    # at most one teacher-side forward per iteration, so the second comes after a step
+    assert len(teacher_side_seen) >= 2
+    assert all(seen == initial for seen in teacher_side_seen)
+    assert _param_bytes(summary["student"]) != initial
 
 
 @pytest.mark.parametrize("phase", [1, 2])
@@ -436,7 +481,7 @@ def test_probe_metrics_raise_naming_the_metric_on_a_finite_but_huge_net_output()
     z = nd.Rng(0).normal((4, exp.config.feature_dim))
     idx = np.arange(4)
     _raises_naming("phase1 feature_mse",
-                   lambda: dh._feature_mse(nets, exp.feats, idx, z, z))
+                   lambda: dh._feature_mse(nets, exp.feats, idx, dict.fromkeys(dh.STREAMS, z)))
     _raises_naming("phase1 frechet", lambda: dh._frechet_probe(nets, exp.feats, z))
     _raises_naming("compare-samplers rf steps=1 frechet",
                    lambda: dh.compare_samplers(exp, nets["img"], ConstantNet(1e200, t_max=49)))

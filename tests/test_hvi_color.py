@@ -23,6 +23,14 @@ def hue_to_rgb(h, s=1.0, v=1.0):
 
 # -- rgb -> hsv components --------------------------------------------------------
 
+def test_hue_rgb_has_period_6_for_negative_hues_too():
+    # hues between the integers, where the sector index decides the color
+    for h in (n + frac for n in range(-12, 12) for frac in (0.25, 0.5, 0.75)):
+        for k in (-2, -1, 1, 2):
+            assert hvi.hue_rgb(h + 6 * k) == hvi.hue_rgb(h), (h, k)
+    assert hvi.hue_rgb(-0.5) == hvi.hue_rgb(5.5) == (1.0, 0.0, 0.5)
+
+
 def test_hsv_canonical_colors():
     h, s, i = hvi.rgb_to_hsv_components(rgb_image((1, 0, 0)))
     assert (h.data.item(), s.data.item(), i.data.item()) == (0.0, 1.0, 1.0)

@@ -310,6 +310,16 @@ def test_params_of_keeps_order_and_takes_params_of_other_parts():
     assert ad.params_of(a, b)["a"] is a
 
 
+def test_params_of_rejects_a_repeated_name():
+    # two blocks with the default prefix would otherwise give 14 params, not 28
+    rng = nd.Rng(0)
+    blocks = [nn.ToyTransformerBlock(8, rng.derive(f"b{i}"), cond_dim=8) for i in range(2)]
+    with pytest.raises(ValueError, match="'block.norm1.gamma'"):
+        ad.params_of(*blocks)
+    with pytest.raises(ValueError, match="'a'"):
+        ad.params_of(ad.Param(1.0, "a"), ad.Param(2.0, "a"))
+
+
 # -- checkpoints ------------------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):
