@@ -309,23 +309,13 @@ def fd_loss_traj(seed):
 
 @fd_case("fd_loss_flex_core")
 def fd_loss_flex(seed):
-    # statistics and mask are detached by design; they are frozen from the
-    # base point and the differentiable core is checked against fd
+    # statistics and mask are detached by design: frozen at the base point,
+    # the term flex_loss sums per layer is checked against fd
     rng = nd.Rng(seed)
     stud = ad.Param(rng.normal((1, 2, 4, 4)), "stud")
     teach = ad.constant(rng.normal((1, 2, 4, 4)))
-    mu, sigma = fx.student_channel_stats(stud)
-    mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
-    inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
-    mask = ad.constant(fx.outlier_mask((stud - mu_c) * inv, fx.PERCENTILE))
-    den = float(mask.data.sum()) + fx.EPS
-    w_res = fx.resolution_weight(4, 4)
-
-    def f():
-        d = (teach - mu_c) * inv - (stud - mu_c) * inv
-        return (w_res / den) * ad.sum_(mask * d * d)
-
-    return f, [stud]
+    stats = fx.frozen_stats(stud)
+    return (lambda: fx.layer_term(teach, stud, stats)), [stud]
 
 
 # -- invariants and worked examples ----------------------------------------------------

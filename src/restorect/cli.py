@@ -83,9 +83,8 @@ def cmd_train_phase1(args) -> int:
     config = resolve_config(args)
     nets, rows = dh.train_phase1(dh.Experiment(config))
     dh.save_phase1(args.out, nets, rows)
-    first, last = rows[0], rows[-1]
     print(f"phase1: {config.phase1_iters} iters, velocity loss "
-          f"{first['vel_rex'] + first['vel_img']:.3f} -> {last['vel_rex'] + last['vel_img']:.3f}")
+          f"{dh.vel_sum(rows[0]):.3f} -> {dh.vel_sum(rows[-1]):.3f}")
     return 0
 
 

@@ -129,6 +129,7 @@ PHASE1_COLUMNS = ["iteration", "total", "vel_rex", "vel_img", "kd", "traj",
                   "feature_mse", "frechet", "steps"]
 PHASE2_COLUMNS = ["iteration", "total", "rec", "flex", "vel_rex", "vel_img", "holdout_l1",
                   "gate_frac", "feature_mse", "frechet", "steps"]
+SAMPLER_COLUMNS = ["sampler", "steps", "frechet", "mse"]
 
 
 def write_metrics_csv(path, rows: list, columns: list) -> None:
@@ -439,13 +440,13 @@ def train_phase1(exp: Experiment):
     return nets, rows
 
 
-def _vel_sum(row: dict) -> float:
+def vel_sum(row: dict) -> float:
     return sum(row[f"vel_{key}"] for key in STREAMS)
 
 
 def phase1_loss_total(row: dict, config: ExperimentConfig) -> float:
     """Recombine a logged phase-1 row's loss terms into its total (bookkeeping check)."""
-    return _vel_sum(row) + LAMBDA_KD * row["kd"] + LAMBDA_TRAJ * row["traj"]
+    return vel_sum(row) + LAMBDA_KD * row["kd"] + LAMBDA_TRAJ * row["traj"]
 
 
 # -- phase 2: student training --------------------------------------------------------
@@ -541,7 +542,7 @@ def train_phase2(exp: Experiment, vel_nets: dict):
 
 
 def phase2_loss_total(row: dict, config: ExperimentConfig) -> float:
-    return row["rec"] + config.lambda_flex * row["flex"] + LAMBDA_VEL * _vel_sum(row)
+    return row["rec"] + config.lambda_flex * row["flex"] + LAMBDA_VEL * vel_sum(row)
 
 
 # -- DDIM baseline training ------------------------------------------------------------
@@ -622,11 +623,11 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
             mse = _mse(f"{label} mse", x, evals.f["img"])
             rows.append(SamplerRow(name, steps, fd, mse, wall_ms))
 
-    cols = ["sampler", "steps", "frechet", "mse"]
     if out_csv:
-        nd.write_csv(out_csv, cols, [[r.sampler, r.steps, r.frechet, r.mse] for r in rows])
+        nd.write_csv(out_csv, SAMPLER_COLUMNS,
+                     [[r.sampler, r.steps, r.frechet, r.mse] for r in rows])
     if timing_csv:
-        nd.write_csv(timing_csv, cols + ["wall_ms"],
+        nd.write_csv(timing_csv, SAMPLER_COLUMNS + ["wall_ms"],
                      [[r.sampler, r.steps, r.frechet, r.mse, f"{r.wall_ms:.3f}"] for r in rows])
     return rows
 
@@ -662,15 +663,16 @@ def distill(config: ExperimentConfig, outdir=None) -> dict:
     given, writes metrics CSVs and checkpoints there."""
     exp = Experiment(config)
     nets, p1_rows = train_phase1(exp)
+    if outdir:  # phase 1's outputs stay on disk if phase 2 fails
+        save_phase1(outdir, nets, p1_rows)
     student, p2_rows, p2_summary = train_phase2(exp, nets)
 
     summary = {
-        "phase1_initial_vel": _vel_sum(p1_rows[0]),
-        "phase1_final_vel": _vel_sum(p1_rows[-1]),
+        "phase1_initial_vel": vel_sum(p1_rows[0]),
+        "phase1_final_vel": vel_sum(p1_rows[-1]),
         **p2_summary,
     }
     if outdir:
-        save_phase1(outdir, nets, p1_rows)
         save_phase2(outdir, student, p2_rows)
         with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

@@ -3,10 +3,11 @@ loss for teacher/student distillation.
 
 Normalization statistics come from the student only, per (layer, channel)
 over (B,H,W), and both the statistics and the outlier mask are treated as
-non-differentiable constants: gradients flow solely through the student
-features' appearance inside the normalized difference. The loss is gated off
-entirely (value and gradient exactly zero) once t / t_max reaches the SNR
-threshold.
+non-differentiable constants (`frozen_stats`): gradients flow solely through
+the student features' appearance inside the normalized difference
+(`layer_term`, the per-layer core that `flex_loss` sums and the registry's
+gradient case checks). The loss is gated off entirely (value and gradient
+exactly zero) once t / t_max reaches the SNR threshold.
 """
 
 from __future__ import annotations
@@ -35,26 +36,29 @@ def _check_aligned(teach: dict, stud: dict) -> None:
             )
 
 
-def student_channel_stats(stud: Tensor):
-    """Per-channel population mean and (std + EPS) over (B,H,W), detached."""
-    mu, std = nd.mean_std(stud.data, axes=(0, 2, 3))
-    return mu, std + EPS
+def frozen_stats(stud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The detached constants of one student layer (B,C,H,W): the per-channel
+    population mean over (B,H,W) and inverse scale 1 / (std + EPS), both
+    shaped (1,C,1,1), and the outlier mask of the normalized student."""
+    x = ad.constant(stud).data
+    if x.ndim != 4:
+        raise ValueError(f"frozen_stats: expected (B,C,H,W), got {x.shape}")
+    mu, std = nd.mean_std(x, axes=(0, 2, 3))
+    mu, inv = mu.reshape(1, -1, 1, 1), (1.0 / (std + EPS)).reshape(1, -1, 1, 1)
+    return mu, inv, outlier_mask((x - mu) * inv, PERCENTILE)
 
 
-def cross_normalize(teach: Tensor, stud: Tensor):
-    """Shift and scale both feature maps by the student's per-channel
-    statistics. Returns (teach_n, stud_n, mu, sigma); mu/sigma are plain
-    arrays and enter the graph as constants.
-    """
+def layer_term(teach, stud, stats) -> Tensor:
+    """The differentiable core for one layer: w_res * the masked mean squared
+    difference of teacher and student, both normalized by the student's
+    `frozen_stats`, which enter as constants."""
     teach, stud = ad.constant(teach), ad.constant(stud)
     if teach.shape != stud.shape:
-        raise ValueError(f"cross_normalize: shape mismatch {teach.shape} vs {stud.shape}")
-    if teach.ndim != 4:
-        raise ValueError(f"cross_normalize: expected (B,C,H,W), got {teach.shape}")
-    mu, sigma = student_channel_stats(stud)
-    mu_c = ad.constant(mu.reshape(1, -1, 1, 1))
-    inv = ad.constant((1.0 / sigma).reshape(1, -1, 1, 1))
-    return (teach - mu_c) * inv, (stud - mu_c) * inv, mu, sigma
+        raise ValueError(f"layer_term: shape mismatch {teach.shape} vs {stud.shape}")
+    mu, inv, mask = (ad.constant(a) for a in stats)
+    d = (teach - mu) * inv - (stud - mu) * inv
+    _, _, h, w = stud.shape
+    return resolution_weight(h, w) * (ad.sum_(mask * d * d) / (float(mask.data.sum()) + EPS))
 
 
 def outlier_mask(stud_n: Tensor, p: float) -> np.ndarray:
@@ -92,11 +96,5 @@ def flex_loss(teach: dict, stud: dict, t: int, t_max: int) -> Tensor:
         return ad.constant(0.0)
     total = ad.constant(0.0)
     for name in teach:
-        teach_n, stud_n, _, _ = cross_normalize(teach[name], stud[name])
-        mask = ad.constant(outlier_mask(stud_n, PERCENTILE))
-        d = teach_n - stud_n
-        num = ad.sum_(mask * d * d)
-        den = float(mask.data.sum()) + EPS
-        _, _, h, w = teach[name].shape
-        total = total + resolution_weight(h, w) * (num / den)
+        total = total + layer_term(teach[name], stud[name], frozen_stats(stud[name]))
     return total

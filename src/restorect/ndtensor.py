@@ -85,8 +85,8 @@ class Rng:
         """New independent stream deterministically keyed by (seed, tag)."""
         return Rng(self.seed, self._spawn_key + (zlib.crc32(tag.encode("utf-8")),))
 
-    def normal(self, shape=(), loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(loc=loc, scale=scale, size=shape).astype(np.float64)
+    def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
+        return self._gen.normal(loc=0.0, scale=scale, size=shape).astype(np.float64)
 
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low=low, high=high, size=shape).astype(np.float64)

@@ -177,17 +177,17 @@ class DecompositionNet:
 
     WIDTHS = (3, 32, 32, 32, 4)
 
-    def __init__(self, rng: nd.Rng, prefix: str = "decomp"):
+    def __init__(self, rng: nd.Rng):
         self.weights = []
         self.biases = []
         widths = self.WIDTHS
         for i in range(4):
             fan_in = widths[i] * 9
             w = Param(rng.normal((widths[i + 1], widths[i], 3, 3)) * math.sqrt(2.0 / fan_in),
-                      f"{prefix}.conv{i}.w")
+                      f"decomp.conv{i}.w")
             # positive last bias keeps the ReLU output layer alive at init
             b_init = np.full(widths[i + 1], 0.5) if i == 3 else np.zeros(widths[i + 1])
-            b = Param(b_init, f"{prefix}.conv{i}.b")
+            b = Param(b_init, f"decomp.conv{i}.b")
             self.weights.append(w)
             self.biases.append(b)
 
@@ -223,11 +223,11 @@ class FeatureExtractor:
     Weights are constants; the extractor is never trained.
     """
 
-    def __init__(self, rng: nd.Rng, in_channels: int = 3):
+    def __init__(self, rng: nd.Rng):
         def w(co, ci):
             return ad.constant(rng.normal((co, ci, 3, 3)) * math.sqrt(2.0 / (ci * 9)))
 
-        self.w1 = w(8, in_channels)
+        self.w1 = w(8, 3)
         self.w2 = w(12, 8 * 4)
         self.w3 = w(16, 12 * 4)
 

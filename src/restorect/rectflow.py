@@ -53,9 +53,10 @@ def velocity_target(z, f_teach) -> Tensor:
     return f_teach - z
 
 
-def timestep_index(t: float, t_max: int) -> int:
-    """Map continuous t in [0,1] onto the discrete 0..t_max grid by rounding."""
-    return int(round(t * t_max))
+def timestep_index(t, t_max: int) -> np.ndarray:
+    """Map continuous t in [0,1] (one time or an array) onto the discrete
+    0..t_max grid, rounding half to even."""
+    return np.rint(t * t_max).astype(np.int64)
 
 
 def velocity_matching_loss(net, batch, rng: nd.Rng) -> Tensor:
@@ -71,8 +72,7 @@ def velocity_matching_loss(net, batch, rng: nd.Rng) -> Tensor:
         raise ValueError("velocity_matching_loss: batch shapes disagree")
     t = rng.uniform((z.shape[0],))
     x_t = interpolate(z, f_teach, t.reshape(-1, 1))
-    t_idx = np.rint(t * net.t_max).astype(np.int64)
-    pred = net.forward(x_t, t_idx, c)
+    pred = net.forward(x_t, timestep_index(t, net.t_max), c)
     d = pred - velocity_target(z, f_teach)
     return ad.mean(ad.sum_(d * d, axes=1))
 

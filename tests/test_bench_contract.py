@@ -45,5 +45,6 @@ def test_checked_output_layout_matches_the_program():
     bench_verify = _load("bench_verify")
     assert bench_verify.PHASE1_HEADER == dh.PHASE1_COLUMNS
     assert bench_verify.PHASE2_HEADER == dh.PHASE2_COLUMNS
+    assert bench_verify.SAMPLER_HEADER == dh.SAMPLER_COLUMNS
     assert list(bench_verify.CHECKPOINTS) == [f"ckpt_vel_{key}" for key in dh.STREAMS] \
         + ["ckpt_student"]

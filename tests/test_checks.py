@@ -111,6 +111,31 @@ def test_injected_gradient_bug_is_reported_with_op_name(monkeypatch, name, attr)
     assert checks.run_checks(names=[name])["passed"]
 
 
+def test_flex_loss_sums_the_term_its_gradient_check_differentiates(monkeypatch):
+    """A gradient fault in flexloss.layer_term fails fd_loss_flex_core, and
+    phase 2's flex_loss runs that term: its value stays bit-equal while its
+    gradient doubles."""
+    rng = nd.Rng(3)
+    stud = ad.Param(rng.normal((2, 3, 4, 4)), "stud")
+    teach = {"l": ad.constant(rng.normal((2, 3, 4, 4)))}
+
+    def value_and_grad():
+        stud.zero_grad()
+        loss = fx.flex_loss(teach, {"l": stud}, 0, 4)
+        loss.backward()
+        return loss.item(), stud.grad.copy()
+
+    value, grad = value_and_grad()
+    real = fx.layer_term
+    monkeypatch.setattr(fx, "layer_term", _doubled(real))
+    assert checks.run_checks(names=["fd_loss_flex_core"])["failed"] == ["fd_loss_flex_core"]
+    faulty_value, faulty_grad = value_and_grad()
+    assert faulty_value == value
+    np.testing.assert_array_equal(faulty_grad, 2.0 * grad)
+    monkeypatch.setattr(fx, "layer_term", real)
+    assert checks.run_checks(names=["fd_loss_flex_core"])["passed"]
+
+
 def test_fd_reductions_reports_a_bug_only_in_partial_sums(monkeypatch):
     partial = _doubled(ad.sum_, lambda x, axes=None, keepdims=False: axes is not None)
     monkeypatch.setattr(ad, "sum_", partial)

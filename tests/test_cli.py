@@ -69,6 +69,19 @@ def test_demo_hvi_onto_an_existing_file_exits_1_with_one_line(tmp_path, capsys):
     assert err.startswith("restorect demo-hvi: ") and err.count("\n") == 1, err
 
 
+def test_distill_that_fails_in_phase_2_leaves_the_phase_1_outputs(tmp_path, capsys):
+    """Phase 1 finishes; a flex weight of 1e308 overflows in phase 2's first
+    step, so the run exits 1 with one line and keeps what phase 1 wrote."""
+    config = small_config_file(tmp_path, phase1_iters=5, phase2_iters=5, lambda_flex=1e308)
+    out = tmp_path / "run"
+    assert cli.main(["distill", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("restorect distill: ") and err.count("\n") == 1, err
+    for name in ("phase1_metrics.csv", "ckpt_vel_rex", "ckpt_vel_img"):
+        assert (out / name).exists(), name
+    assert not (out / "phase2_metrics.csv").exists()
+
+
 def test_demo_diffusion_writes_response(tmp_path):
     assert cli.main(["demo-diffusion", "--out", str(tmp_path)]) == 0
     header = (tmp_path / "diffusion_edge_response.csv").read_text().splitlines()[0]

@@ -50,52 +50,55 @@ def bruteforce_flex(teach_layers, stud_layers, t, cfg):
     return total
 
 
-# -- cross_normalize ----------------------------------------------------------------
+# -- frozen statistics and the per-layer term -------------------------------------
 
-def test_student_channel_stats_are_bit_equal_to_the_numpy_formula():
-    """student_channel_stats runs on nd.mean_std; pins it to the formula it
-    replaced."""
+def test_frozen_stats_are_bit_equal_to_the_numpy_formula():
+    """frozen_stats runs on nd.mean_std; pins it to the formula it replaced."""
     d = nd.Rng(30).normal((3, 5, 4, 6)) * 2.0 + 0.7
-    mu_ref = d.mean(axis=(0, 2, 3))
-    sigma_ref = np.sqrt(((d - mu_ref.reshape(1, -1, 1, 1)) ** 2).mean(axis=(0, 2, 3))) + 1e-6
-    mu, sigma = fx.student_channel_stats(ad.constant(d))
-    assert mu.tobytes() == mu_ref.tobytes()
-    assert sigma.tobytes() == sigma_ref.tobytes()
+    mu_ref = d.mean(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+    sigma_ref = np.sqrt(((d - mu_ref) ** 2).mean(axis=(0, 2, 3))) + 1e-6
+    inv_ref = (1.0 / sigma_ref).reshape(1, -1, 1, 1)
+    mu, inv, mask = fx.frozen_stats(ad.constant(d))
+    assert mu.tobytes() == mu_ref.tobytes() and mu.shape == (1, 5, 1, 1)
+    assert inv.tobytes() == inv_ref.tobytes() and inv.shape == (1, 5, 1, 1)
+    assert mask.tobytes() == fx.outlier_mask((d - mu_ref) * inv_ref, fx.PERCENTILE).tobytes()
 
 
-def test_cross_normalize_identical_inputs():
+def test_layer_term_of_identical_inputs_is_zero():
     x = nd.Rng(0).normal((2, 3, 4, 4))
-    tn, sn, mu, sigma = fx.cross_normalize(ad.constant(x), ad.constant(x))
-    np.testing.assert_array_equal(tn.data, sn.data)
-    assert mu.shape == (3,) and sigma.shape == (3,)
+    assert fx.layer_term(x, x.copy(), fx.frozen_stats(x)).item() == 0.0
 
 
-def test_cross_normalize_standard_normal_passthrough():
-    rng = nd.Rng(1)
-    x = rng.normal((8, 4, 16, 16))
-    _, sn, mu, sigma = fx.cross_normalize(ad.constant(x * 0.0 + x), ad.constant(x))
-    # large-sample per-channel stats are close to (0,1), so sn ~ x
-    assert np.abs(sn.data - x).mean() < 0.05
+def test_frozen_stats_of_a_standardized_student():
+    x = nd.Rng(1).normal((8, 4, 16, 16))
+    mu, inv, _ = fx.frozen_stats(x)
+    # large-sample per-channel stats are close to (0,1), so the normalized x ~ x
+    assert np.abs(mu).max() < 0.1 and np.abs(inv - 1.0).max() < 0.1
+    assert np.abs((x - mu) * inv - x).mean() < 0.05
 
 
-def test_cross_normalize_teacher_scale_cancels():
+def test_flex_loss_normalizes_by_the_student_only():
+    """flex_loss is the sum of layer_term under the student's frozen_stats:
+    the teacher's scale leaves the statistics alone and only scales the
+    normalized difference (teach - stud) * inv."""
     rng = nd.Rng(2)
     stud = rng.normal((2, 3, 5, 5))
     teach = rng.normal((2, 3, 5, 5))
-    tn1, sn1, _, sigma = fx.cross_normalize(ad.constant(teach), ad.constant(stud))
-    # normalized difference equals (teach - stud) / sigma_stud exactly
-    expected = (teach - stud) / sigma.reshape(1, 3, 1, 1)
-    np.testing.assert_allclose(tn1.data - sn1.data, expected, rtol=1e-12)
-    # and it scales linearly in the raw teacher, with sigma unchanged
-    tn2, sn2, _, _ = fx.cross_normalize(ad.constant(1000.0 * teach), ad.constant(stud))
-    expected2 = (1000.0 * teach - stud) / sigma.reshape(1, 3, 1, 1)
-    np.testing.assert_allclose(tn2.data - sn2.data, expected2, rtol=1e-12)
+    mu, inv, mask = stats = fx.frozen_stats(stud)
+    for scale in (1.0, 1000.0):
+        got = fx.flex_loss({"l": ad.constant(scale * teach)}, {"l": ad.constant(stud)}, 0, 4)
+        assert got.item() == fx.layer_term(scale * teach, stud, stats).item()
+        d = (scale * teach - stud) * inv
+        expected = fx.resolution_weight(5, 5) * (mask * d * d).sum() / (mask.sum() + fx.EPS)
+        assert got.item() == pytest.approx(expected, rel=1e-12)
 
 
-def test_cross_normalize_shape_mismatch():
+def test_layer_term_and_frozen_stats_reject_bad_shapes():
+    stats = fx.frozen_stats(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
-        fx.cross_normalize(ad.constant(np.zeros((1, 2, 3, 3))),
-                           ad.constant(np.zeros((1, 2, 4, 4))))
+        fx.layer_term(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4)), stats)
+    with pytest.raises(ValueError):
+        fx.frozen_stats(np.zeros((2, 4, 4)))
 
 
 # -- outlier mask ---------------------------------------------------------------------

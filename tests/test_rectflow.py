@@ -116,7 +116,7 @@ def test_velocity_loss_is_bit_equal_to_the_inline_composite():
         t = rng.uniform((z.shape[0],))
         t_col = ad.constant(t.reshape(-1, 1))
         x_t = (1.0 - t_col) * z + t_col * f_teach
-        pred = net.forward(x_t, np.rint(t * net.t_max).astype(np.int64), c)
+        pred = net.forward(x_t, rf.timestep_index(t, net.t_max), c)
         d = pred - (f_teach - z)
         return ad.mean(ad.sum_(d * d, axes=1))
 
@@ -132,6 +132,13 @@ def test_velocity_loss_is_bit_equal_to_the_inline_composite():
         results.append([loss.data] + [p.grad for p in net.params().values()])
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
+
+
+def test_timestep_index_rounds_one_time_and_an_array_alike():
+    """Half-way times round to even, as Python's round does."""
+    t = np.array([0.0, 0.125, 0.375, 0.6, 1.0])
+    np.testing.assert_array_equal(rf.timestep_index(t, 4), [0, 0, 2, 2, 4])
+    assert [rf.timestep_index(x, 4) for x in t] == [round(x * 4) for x in t]
 
 
 def test_velocity_loss_empty_batch_error():
