@@ -31,6 +31,7 @@ composites of the others. Elementwise ops broadcast with numpy semantics.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,10 +280,16 @@ def matmul(a, b) -> Tensor:
 
 # -- convolution --------------------------------------------------------------
 
-def _windows3x3(x: np.ndarray) -> np.ndarray:
-    """Zero-pad by 1 and return (B,C,H,W,3,3) sliding windows."""
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    return np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+_PAIR = ["einsum_path", (0, 1)]  # einsum's one two-operand path: no call runs the path search
+
+
+def _windows3x3(x: np.ndarray, pad: int) -> np.ndarray:
+    """The read-only (B,C,H',W',3,3) view of the 3x3 windows of x zero-padded by `pad`."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return np.lib.stride_tricks.as_strided(xp, (b, c, h + 2 * pad - 2, w + 2 * pad - 2, 3, 3),
+                                           xp.strides + xp.strides[2:], writeable=False)
 
 
 def conv2d_3x3(x, w) -> Tensor:
@@ -291,21 +298,20 @@ def conv2d_3x3(x, w) -> Tensor:
     x: (B, Cin, H, W); w: (Cout, Cin, 3, 3) -> (B, Cout, H, W).
     """
     x, w = constant(x), constant(w)
-    if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3):
+    if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (3, 3) or 0 in x.shape[2:]:
         raise ValueError(f"conv2d_3x3: bad shapes x={x.shape}, w={w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d_3x3: channel mismatch x={x.shape}, w={w.shape}")
-    win = _windows3x3(x.data)
+    win = _windows3x3(x.data, 1)
 
     def dx(g):
         # full correlation of the padded upstream grad with the flipped kernel
-        gp = np.pad(g, ((0, 0), (0, 0), (2, 2), (2, 2)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, (3, 3), axis=(2, 3))
         wflip = w.data[:, :, ::-1, ::-1]
-        return np.einsum("bohwkl,oikl->bihw", gwin, wflip, optimize=True)[:, :, 1:-1, 1:-1]
+        return np.einsum("bohwkl,oikl->bihw", _windows3x3(g, 2), wflip,
+                         optimize=_PAIR)[:, :, 1:-1, 1:-1]
 
-    return _node("conv2d_3x3", np.einsum("bihwkl,oikl->bohw", win, w.data, optimize=True),
-                 (x, w), dx, lambda g: np.einsum("bohw,bihwkl->oikl", g, win, optimize=True))
+    return _node("conv2d_3x3", np.einsum("bihwkl,oikl->bohw", win, w.data, optimize=_PAIR),
+                 (x, w), dx, lambda g: np.einsum("bohw,bihwkl->oikl", g, win, optimize=_PAIR))
 
 
 # -- elementwise nonlinearities -----------------------------------------------
@@ -396,7 +402,7 @@ def sum_(x, axes=None, keepdims: bool = False) -> Tensor:
 def mean(x, axes=None, keepdims: bool = False) -> Tensor:
     x = constant(x)
     axes = _norm_axes(axes, x.ndim)
-    count = float(np.prod([x.data.shape[a] for a in axes])) if axes else 1.0
+    count = float(math.prod(x.data.shape[a] for a in axes))
     if count == 0:
         raise ValueError("mean: empty reduction axis")
 
@@ -405,7 +411,8 @@ def mean(x, axes=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return np.broadcast_to(g, x.data.shape) / count
 
-    return _node("mean", x.data.mean(axis=axes, keepdims=keepdims), (x,), dx)
+    # ndarray.mean's own arithmetic, a sum then a division by the count
+    return _node("mean", np.add.reduce(x.data, axis=axes, keepdims=keepdims) / count, (x,), dx)
 
 
 # -- structure ----------------------------------------------------------------
@@ -431,7 +438,11 @@ def slice_(x, idx) -> Tensor:
 
     def dx(g):
         scattered = np.zeros_like(x.data)
-        np.add.at(scattered, idx, g)  # scattered[idx] += would drop repeated positions
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        if g.ndim and all(type(i) in (int, slice, type(None), type(...)) for i in parts):
+            np.add(g, 0.0, out=scattered[idx])  # a basic index repeats no position; add.at's bits
+        else:
+            np.add.at(scattered, idx, g)  # scattered[idx] += would drop repeated positions
         return scattered
 
     return _node("slice", x.data[idx], (x,), dx)
@@ -446,8 +457,8 @@ def transpose(x, axes) -> Tensor:
     x = constant(x)
     axes = tuple(axes)
     data = x.data.transpose(axes)  # numpy rejects axes out of range
-    inverse = tuple(np.argsort([a % x.ndim for a in axes]))  # negative axes count from the end
-    return _node("transpose", data, (x,), lambda g: g.transpose(inverse))
+    return _node("transpose", data, (x,),  # the inverse; negative axes count from the end
+                 lambda g: g.transpose(tuple(np.argsort([a % x.ndim for a in axes]))))
 
 
 def pixel_unshuffle(x, factor: int) -> Tensor:

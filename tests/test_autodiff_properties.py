@@ -1,10 +1,11 @@
-"""Property tests of the reductions, transpose, the broadcasting binary ops
-and leaky_relu: over random shapes (0-d included), single, negative and
-tuple axes, `keepdims`, broadcastable shape pairs, values up to 1e300 in
-magnitude and slopes in [0, 1], the forward equals numpy (leaky_relu: its
-former `np.where` form, bit for bit), the gradient passes `fd_check` at its
-gate, axes numpy rejects are rejected, and `_unbroadcast` sums exactly the
-broadcast axes. Derandomized, so every run draws the same examples."""
+"""Property tests of the reductions, transpose, the broadcasting binary ops,
+leaky_relu and conv2d_3x3: over random shapes (0-d included), single,
+negative and tuple axes, `keepdims`, broadcastable shape pairs, values up to
+1e300 in magnitude and slopes in [0, 1], the forward equals numpy (leaky_relu:
+its former `np.where` form, conv2d_3x3: its former `np.pad` form, both bit for
+bit), the gradient passes `fd_check` at its gate, axes and shapes numpy or the
+op rejects are rejected, and `_unbroadcast` sums exactly the broadcast axes.
+Derandomized, so every run draws the same examples."""
 
 import numpy as np
 import pytest
@@ -167,3 +168,61 @@ def test_leaky_relu_matches_the_where_form_bit_for_bit(x, slope):
 @given(shape=SHAPES, slope=st.floats(0.0, 1.0))
 def test_leaky_relu_gradient_passes_fd(shape, slope):
     _fd_passes(lambda t: ad.leaky_relu(t, slope), _away_from_zero(shape))
+
+
+# -- conv2d_3x3 ---------------------------------------------------------------------
+
+# every shape `restorect check` convolves, then the harness's student and teacher shapes
+CONV_SHAPES = [
+    ((1, 32, 6, 6), (32, 32, 3, 3)), ((2, 3, 4, 4), (2, 3, 3, 3)), ((1, 3, 4, 4), (8, 3, 3, 3)),
+    ((1, 32, 2, 2), (12, 32, 3, 3)), ((1, 48, 1, 1), (16, 48, 3, 3)),
+    ((1, 3, 6, 6), (32, 3, 3, 3)), ((1, 32, 6, 6), (4, 32, 3, 3)),
+    ((8, 3, 16, 16), (16, 3, 3, 3)), ((8, 16, 16, 16), (3, 16, 3, 3)),
+    ((64, 24, 8, 8), (32, 24, 3, 3)), ((64, 32, 8, 8), (32, 32, 3, 3)),
+]
+
+
+def _padded_windows(x, pad):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    return np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+
+
+def _conv_reference(x, w, g):
+    """The forward, dx and dw of conv2d_3x3 in the form it had before its
+    contraction path was fixed: np.pad, sliding windows, einsum's own search."""
+    win = _padded_windows(x, 1)
+    out = np.einsum("bihwkl,oikl->bohw", win, w, optimize=True)
+    dx = np.einsum("bohwkl,oikl->bihw", _padded_windows(g, 2), w[:, :, ::-1, ::-1],
+                   optimize=True)[:, :, 1:-1, 1:-1]
+    return out, dx, np.einsum("bohw,bihwkl->oikl", g, win, optimize=True)
+
+
+@pytest.mark.parametrize("x_shape, w_shape", CONV_SHAPES, ids=str)
+def test_conv_is_bit_equal_to_the_pad_form(x_shape, w_shape, monkeypatch):
+    """Values and layouts both: BLAS bits downstream depend on the layout."""
+    x, w = ad.Param(_values(x_shape), "x"), ad.Param(_values(w_shape, seed=1), "w")
+    y = ad.conv2d_3x3(x, w)
+    y.accum_grad(_values(y.shape, seed=2))  # the upstream gradient, laid out like y
+    raw = {}
+    monkeypatch.setattr(ad.Tensor, "accum_grad", lambda node, g: raw.setdefault(node.name, g))
+    y._backward()
+    for got, ref in zip((y.data, raw["x"], raw["w"]), _conv_reference(x.data, w.data, y.grad)):
+        assert got.tobytes() == ref.tobytes() and got.strides == ref.strides
+
+
+@PROPERTY
+@given(b=st.integers(1, 2), cin=st.integers(1, 3), cout=st.integers(1, 3),
+       h=st.integers(1, 5), w=st.integers(1, 5))
+def test_conv_gradient_passes_fd(b, cin, cout, h, w):
+    _fd_passes(ad.conv2d_3x3, _values((b, cin, h, w)), _values((cout, cin, 3, 3), seed=1))
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((1, 3, 4), (2, 3, 3, 3)), ((1, 3, 4, 4, 1), (2, 3, 3, 3)), ((1, 3, 4, 4), (2, 3, 3)),
+    ((1, 3, 4, 4), (2, 3, 3, 2)), ((1, 3, 4, 4), (2, 3, 5, 5)), ((1, 3, 4, 4), (2, 2, 3, 3)),
+    ((1, 3, 0, 4), (2, 3, 3, 3)), ((1, 3, 4, 0), (2, 3, 3, 3)),
+], ids=str)
+def test_conv_rejects_shapes_without_a_3x3_correlation(x_shape, w_shape):
+    # an empty image has no window: the np.pad form rejected it as well
+    with pytest.raises(ValueError, match="conv2d_3x3"):
+        ad.conv2d_3x3(ad.constant(np.zeros(x_shape)), ad.constant(np.zeros(w_shape)))

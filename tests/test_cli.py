@@ -82,6 +82,21 @@ def test_distill_that_fails_in_phase_2_leaves_the_phase_1_outputs(tmp_path, caps
     assert not (out / "phase2_metrics.csv").exists()
 
 
+def test_distill_that_fails_in_phase_2_leaves_no_earlier_phase_2_outputs(tmp_path, capsys):
+    """A failed run into the directory of a completed one removes that run's
+    phase-2 outputs, and a stray `ckpt_student.old-*` that load_checkpoint
+    would fall back to, so phase 1's new files stand alone."""
+    out = tmp_path / "run"
+    ok = small_config_file(tmp_path, phase1_iters=5, phase2_iters=5)
+    assert cli.main(["distill", "--config", ok, "--out", str(out)]) == 0
+    (out / "ckpt_student.old-1").mkdir()
+    failing = small_config_file(tmp_path, phase1_iters=5, phase2_iters=5, lambda_flex=1e308)
+    assert cli.main(["distill", "--config", failing, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["ckpt_vel_img", "ckpt_vel_rex",
+                                                     "phase1_metrics.csv"]
+
+
 def test_demo_diffusion_writes_response(tmp_path):
     assert cli.main(["demo-diffusion", "--out", str(tmp_path)]) == 0
     header = (tmp_path / "diffusion_edge_response.csv").read_text().splitlines()[0]
