@@ -438,11 +438,7 @@ def slice_(x, idx) -> Tensor:
 
     def dx(g):
         scattered = np.zeros_like(x.data)
-        parts = idx if isinstance(idx, tuple) else (idx,)
-        if g.ndim and all(type(i) in (int, slice, type(None), type(...)) for i in parts):
-            np.add(g, 0.0, out=scattered[idx])  # a basic index repeats no position; add.at's bits
-        else:
-            np.add.at(scattered, idx, g)  # scattered[idx] += would drop repeated positions
+        np.add.at(scattered, idx, g)  # scattered[idx] += would drop repeated positions
         return scattered
 
     return _node("slice", x.data[idx], (x,), dx)

@@ -17,8 +17,6 @@ import functools
 import json
 import math
 import os
-import pathlib
-import shutil
 import time
 from dataclasses import dataclass, field, fields
 
@@ -639,11 +637,10 @@ def compare_samplers(exp: Experiment, rf_net, ddim_net, out_csv=None, timing_csv
 def save_phase1(outdir, nets: dict, rows: list) -> None:
     """Phase 1's outputs, once an earlier run's phase-2 outputs are gone."""
     os.makedirs(outdir, exist_ok=True)
-    out = pathlib.Path(outdir)  # with any ckpt_student.old-*, which load_checkpoint falls back to
-    for stale in [out / "ckpt_student", *out.glob("ckpt_student.old-*")]:
-        shutil.rmtree(stale, ignore_errors=True)
-    for name in ("phase2_metrics.csv", "summary.json"):
-        (out / name).unlink(missing_ok=True)
+    nn.remove_checkpoint(os.path.join(outdir, "ckpt_student"))
+    for path in (os.path.join(outdir, name) for name in ("phase2_metrics.csv", "summary.json")):
+        if os.path.exists(path):
+            os.remove(path)
     write_metrics_csv(os.path.join(outdir, "phase1_metrics.csv"), rows, PHASE1_COLUMNS)
     for key in STREAMS:
         nn.save_checkpoint(os.path.join(outdir, f"ckpt_vel_{key}"), nets[key].params())

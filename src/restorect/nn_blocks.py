@@ -395,6 +395,14 @@ def save_checkpoint(directory, params: dict) -> None:
         shutil.rmtree(stale, ignore_errors=True)
 
 
+def remove_checkpoint(directory) -> None:
+    """Remove the checkpoint at `directory` with every `.old-*` and `.tmp-*`
+    sibling a save leaves, so `load_checkpoint` finds nothing to fall back to."""
+    for path in [directory, *glob.glob(glob.escape(directory) + ".old-*"),
+                 *glob.glob(glob.escape(directory) + ".tmp-*")]:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def load_checkpoint(directory) -> dict:
     """The arrays saved at `directory`. Where a save died between its two
     renames there is no `directory`, and a lone `<directory>.old-*` is read."""

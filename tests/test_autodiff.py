@@ -233,31 +233,6 @@ def test_slice_gradient_sums_repeated_advanced_indices():
     np.testing.assert_array_equal(m.grad, [[0.0, 6.0], [0.0, 0.0], [0.0, 3.0]])
 
 
-SLICE_INDICES = [  # basic ones first, then advanced ones, a bool among them
-    2, -1, slice(None, None, -1), (1, slice(None, None, -2)), (Ellipsis, 0), (Ellipsis,),
-    (None, slice(1, 3)), (slice(None), None, -1), (0, Ellipsis, slice(3, None, -2)), (1, 2),
-    [1, 1, 2], (np.array([0, 2, 0]), slice(1, None)), True, (0, [True, False, True, True]),
-]
-
-
-@pytest.mark.parametrize("idx", SLICE_INDICES, ids=repr)
-def test_slice_gradient_is_bit_equal_to_add_at(idx, monkeypatch):
-    """The raw gradient slice_ hands its input, -0.0 entries of the upstream
-    gradient included, has np.add.at's bits: 0.0 + g, summed where an
-    advanced index repeats a position."""
-    x = ad.Param(np.ones((3, 4)), "x")
-    y = ad.slice_(x, idx)
-    g = rand_param(7, y.shape).data
-    g.reshape(-1)[::2] = -0.0
-    expected = np.zeros_like(x.data)
-    np.add.at(expected, idx, g)
-    seen = []
-    monkeypatch.setattr(ad.Tensor, "accum_grad", lambda node, grad: seen.append(grad))
-    y.grad = g
-    y._backward()
-    assert seen[0].shape == expected.shape and seen[0].tobytes() == expected.tobytes()
-
-
 # -- graph lifetime: no_grad and release after backward ------------------------------------
 
 def test_no_grad_builds_leaves_with_the_same_values():

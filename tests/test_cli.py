@@ -84,12 +84,13 @@ def test_distill_that_fails_in_phase_2_leaves_the_phase_1_outputs(tmp_path, caps
 
 def test_distill_that_fails_in_phase_2_leaves_no_earlier_phase_2_outputs(tmp_path, capsys):
     """A failed run into the directory of a completed one removes that run's
-    phase-2 outputs, and a stray `ckpt_student.old-*` that load_checkpoint
-    would fall back to, so phase 1's new files stand alone."""
+    phase-2 outputs, and the stray `ckpt_student.old-*` (which load_checkpoint
+    would fall back to) and `.tmp-*` siblings, so phase 1's new files stand alone."""
     out = tmp_path / "run"
     ok = small_config_file(tmp_path, phase1_iters=5, phase2_iters=5)
     assert cli.main(["distill", "--config", ok, "--out", str(out)]) == 0
     (out / "ckpt_student.old-1").mkdir()
+    (out / "ckpt_student.tmp-1").mkdir()
     failing = small_config_file(tmp_path, phase1_iters=5, phase2_iters=5, lambda_flex=1e308)
     assert cli.main(["distill", "--config", failing, "--out", str(out)]) == 1
     capsys.readouterr()
